@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace vds::baseline {
 
@@ -57,8 +58,13 @@ vds::core::RunReport LockstepSrt::run(vds::fault::FaultTimeline& timeline,
     bool fault_detected = false;
     bool processor_crash = false;
     for (int chunk = 0; chunk < config_.chunks_per_round; ++chunk) {
-      const auto faults =
-          timeline.drain_window(clock, clock + chunk_time);
+      // Almost every chunk window is empty: drain only when a fault is
+      // due before the chunk ends. The skipped drain would have
+      // returned nothing and left the cursor where it is.
+      std::vector<Fault> faults;
+      if (timeline.next_time() < clock + chunk_time) {
+        faults = timeline.drain_window(clock, clock + chunk_time);
+      }
       clock += chunk_time;
       for (const Fault& fault : faults) {
         ++rep.faults_seen;

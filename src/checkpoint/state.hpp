@@ -34,8 +34,8 @@ class VersionState {
   void flip_bit(std::size_t word, unsigned bit) noexcept;
 
   /// 64-bit FNV-1a digest of the full state. Two states are "equal" for
-  /// the VDS comparison iff their digests match (the engine also offers
-  /// exact comparison; see equals()).
+  /// the VDS comparison iff their digests match; fault::states_match()
+  /// decides that with equals() first and digests only on a difference.
   [[nodiscard]] std::uint64_t digest() const noexcept;
 
   /// Exact word-for-word comparison.

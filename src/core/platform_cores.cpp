@@ -15,7 +15,8 @@ void ConventionalCore::apply_fault(const Fault& fault, EngineSlot* occupant,
                                    VersionState* retry_state,
                                    bool* retry_crashed) {
   ++rep_.faults_seen;
-  record(TraceKind::kFaultInjected, "fault", fault.describe());
+  record(TraceKind::kFaultInjected,
+         [&] { return TraceText{"fault", fault.describe()}; });
   switch (fault.kind) {
     case FaultKind::kTransient: {
       ++rep_.transient_faults;
@@ -84,6 +85,7 @@ void ConventionalCore::apply_fault(const Fault& fault, EngineSlot* occupant,
 void ConventionalCore::drain(double from, double to, EngineSlot* occupant,
                              VersionState* retry_state,
                              bool* retry_crashed) {
+  if (timeline_.next_time() >= to) return;  // empty window
   for (const Fault& fault : timeline_.drain_window(from, to)) {
     apply_fault(fault, occupant, retry_state, retry_crashed);
   }
@@ -93,30 +95,38 @@ void ConventionalCore::step_round() {
   const std::uint64_t round = base_ + i_ + 1;
 
   // Version in slot A computes its round.
-  record(TraceKind::kRoundStart, "V" + std::to_string(a_.version_id),
-         "round " + std::to_string(round));
+  record(TraceKind::kRoundStart, [&] {
+    return TraceText{"V" + std::to_string(a_.version_id),
+                     "round " + std::to_string(round)};
+  });
   vset_.advance(a_.state, round, a_.version_id);
   drain(clock_, clock_ + opt_.t, &a_);
   clock_ += opt_.t;
-  record(TraceKind::kRoundEnd, "V" + std::to_string(a_.version_id), "");
+  record(TraceKind::kRoundEnd, [&] {
+    return TraceText{"V" + std::to_string(a_.version_id), ""};
+  });
   if (handle_processor_crash()) return;
 
   // Context switch.
-  record(TraceKind::kContextSwitch, "os", "");
+  record(TraceKind::kContextSwitch, [] { return TraceText{"os", ""}; });
   drain(clock_, clock_ + opt_.c, nullptr);
   clock_ += opt_.c;
   if (handle_processor_crash()) return;
 
   // Version in slot B computes its round.
-  record(TraceKind::kRoundStart, "V" + std::to_string(b_.version_id),
-         "round " + std::to_string(round));
+  record(TraceKind::kRoundStart, [&] {
+    return TraceText{"V" + std::to_string(b_.version_id),
+                     "round " + std::to_string(round)};
+  });
   vset_.advance(b_.state, round, b_.version_id);
   drain(clock_, clock_ + opt_.t, &b_);
   clock_ += opt_.t;
-  record(TraceKind::kRoundEnd, "V" + std::to_string(b_.version_id), "");
+  record(TraceKind::kRoundEnd, [&] {
+    return TraceText{"V" + std::to_string(b_.version_id), ""};
+  });
   if (handle_processor_crash()) return;
 
-  record(TraceKind::kContextSwitch, "os", "");
+  record(TraceKind::kContextSwitch, [] { return TraceText{"os", ""}; });
   drain(clock_, clock_ + opt_.c, nullptr);
   clock_ += opt_.c;
   if (handle_processor_crash()) return;
@@ -129,7 +139,8 @@ void ConventionalCore::step_round() {
 
 void SmtCore::apply_normal(const Fault& fault) {
   ++rep_.faults_seen;
-  record(TraceKind::kFaultInjected, "fault", fault.describe());
+  record(TraceKind::kFaultInjected,
+         [&] { return TraceText{"fault", fault.describe()}; });
   switch (fault.kind) {
     case FaultKind::kTransient: {
       ++rep_.transient_faults;
@@ -189,15 +200,16 @@ void SmtCore::step_round() {
   const double round_time = 2.0 * opt_.alpha * opt_.t;
 
   // Both versions compute their round in parallel hardware threads.
-  record(TraceKind::kRoundStart, "HT",
-         "round " + std::to_string(round) + " V" +
-             std::to_string(a_.version_id) + "||V" +
-             std::to_string(b_.version_id));
+  record(TraceKind::kRoundStart, [&] {
+    return TraceText{"HT", "round " + std::to_string(round) + " V" +
+                               std::to_string(a_.version_id) + "||V" +
+                               std::to_string(b_.version_id)};
+  });
   vset_.advance(a_.state, round, a_.version_id);
   vset_.advance(b_.state, round, b_.version_id);
   drain_background(clock_, clock_ + round_time);
   clock_ += round_time;
-  record(TraceKind::kRoundEnd, "HT", "");
+  record(TraceKind::kRoundEnd, [] { return TraceText{"HT", ""}; });
   if (handle_processor_crash()) return;
 
   // State comparison + mismatch handling (shared protocol tail).

@@ -113,22 +113,16 @@ RunReport ProtocolCore::run() {
                    rep_.rounds_committed >= opt_.job_rounds;
   if (rep_.completed) {
     const auto& golden = vset_.golden_at(rep_.rounds_committed);
-    rep_.silent_corruption = a_.state.digest() != golden.digest() ||
-                             b_.state.digest() != golden.digest();
-    record(TraceKind::kJobDone, "VDS", "");
+    rep_.silent_corruption = !vds::fault::states_match(a_.state, golden) ||
+                             !vds::fault::states_match(b_.state, golden);
+    record(TraceKind::kJobDone, [] { return TraceText{"VDS", ""}; });
   }
   fold_into_metrics(rep_);
   return rep_;
 }
 
-void ProtocolCore::record(TraceKind kind, std::string actor,
-                          std::string detail) {
-  if (trace_ != nullptr) {
-    trace_->record(clock_, std::move(actor), kind, std::move(detail));
-  }
-}
-
 void ProtocolCore::drain_background(double from, double to) {
+  if (timeline_.next_time() >= to) return;  // empty window
   for (const Fault& fault : timeline_.drain_window(from, to)) {
     apply_background_fault(fault);
   }
@@ -169,8 +163,9 @@ void ProtocolCore::maybe_checkpoint() {
   drain_background(clock_, clock_ + opt_.checkpoint_write_latency);
   clock_ += store_.save(base_ + i_, a_.state, clock_);
   ++rep_.checkpoints;
-  record(TraceKind::kCheckpoint, "VDS",
-         "round " + std::to_string(base_ + i_));
+  record(TraceKind::kCheckpoint, [&] {
+    return TraceText{"VDS", "round " + std::to_string(base_ + i_)};
+  });
   base_ += i_;
   i_ = 0;
   consecutive_failures_ = 0;
@@ -187,20 +182,24 @@ void ProtocolCore::rollback() {
   ++rep_.rollbacks;
   ++consecutive_failures_;
   clear_pending();
-  record(TraceKind::kRollback, "VDS",
-         "to round " + std::to_string(base_));
+  record(TraceKind::kRollback, [&] {
+    return TraceText{"VDS", "to round " + std::to_string(base_)};
+  });
   if (consecutive_failures_ >= opt_.max_consecutive_failures) {
     rep_.failed_safe = true;
-    record(TraceKind::kFailSafeShutdown, "VDS",
-           "after " + std::to_string(consecutive_failures_) +
-               " consecutive failures");
+    record(TraceKind::kFailSafeShutdown, [&] {
+      return TraceText{"VDS", "after " +
+                                  std::to_string(consecutive_failures_) +
+                                  " consecutive failures"};
+    });
   }
 }
 
 bool ProtocolCore::handle_processor_crash() {
   if (!processor_crash_) return false;
   processor_crash_ = false;
-  record(TraceKind::kInfo, "VDS", "processor crash: rollback");
+  record(TraceKind::kInfo,
+         [] { return TraceText{"VDS", "processor crash: rollback"}; });
   rollback();
   return true;
 }
@@ -216,7 +215,7 @@ void ProtocolCore::compare_and_dispatch(std::uint64_t round) {
       vds::fault::compare_states(a_.state, b_.state) ==
           vds::fault::CompareOutcome::kMismatch;
   record(mismatch ? TraceKind::kCompareMismatch : TraceKind::kCompare,
-         "VDS", "round " + std::to_string(round));
+         [&] { return TraceText{"VDS", "round " + std::to_string(round)}; });
 
   if (!mismatch) {
     ++i_;
@@ -226,8 +225,9 @@ void ProtocolCore::compare_and_dispatch(std::uint64_t round) {
   }
 
   ++rep_.detections;
-  record(TraceKind::kFaultDetected, "VDS",
-         "at round " + std::to_string(i_ + 1));
+  record(TraceKind::kFaultDetected, [&] {
+    return TraceText{"VDS", "at round " + std::to_string(i_ + 1)};
+  });
   if (pending_since_ >= 0.0) {
     rep_.detection_latency.add(clock_ - pending_since_);
   }

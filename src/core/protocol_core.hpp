@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "checkpoint/store.hpp"
 #include "core/options.hpp"
@@ -23,6 +24,12 @@ struct EngineSlot {
 };
 
 class ProtocolCore;
+
+/// The text of one trace record: who (actor) and free-form detail.
+struct TraceText {
+  std::string actor;
+  std::string detail;
+};
 
 /// Strategy executed when a round comparison mismatches (paper §3/§4).
 /// Concrete policies: RollbackPolicy (checkpoint restart, both
@@ -71,8 +78,15 @@ class ProtocolCore {
 
   // --- building blocks shared by platform adapters and policies ----
 
-  void record(vds::sim::TraceKind kind, std::string actor,
-              std::string detail);
+  /// Appends a trace record at the current clock. `text` returns the
+  /// record's TraceText and is called only when an enabled trace is
+  /// attached, so an untraced round builds no strings.
+  template <typename Text>
+  void record(vds::sim::TraceKind kind, Text&& text) {
+    if (trace_ == nullptr || !trace_->enabled()) return;
+    TraceText t = std::forward<Text>(text)();
+    trace_->record(clock_, std::move(t.actor), kind, std::move(t.detail));
+  }
 
   /// Drains the timeline over [from, to) and applies each fault with
   /// the platform's background-victim semantics.

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/platform_cores.hpp"
+#include "fault/detector.hpp"
 #include "fault/predictor.hpp"
 #include "runtime/metrics.hpp"
 
@@ -17,6 +18,7 @@ using vds::fault::Fault;
 using vds::fault::FaultEvidence;
 using vds::fault::FaultKind;
 using vds::fault::VersionGuess;
+using vds::fault::states_match;
 using vds::sim::TraceKind;
 
 // --- conventional stop-and-retry ---------------------------------------
@@ -24,8 +26,10 @@ using vds::sim::TraceKind;
 void StopAndRetryPolicy::recover(ProtocolCore& core) {
   auto& c = static_cast<ConventionalCore&>(core);
   const std::uint64_t ic = c.i_ + 1;  // mismatch found at round ic
-  c.record(TraceKind::kRetryStart, "V" + std::to_string(c.spare_id_),
-           "replay " + std::to_string(ic) + " rounds");
+  c.record(TraceKind::kRetryStart, [&] {
+    return TraceText{"V" + std::to_string(c.spare_id_),
+                     "replay " + std::to_string(ic) + " rounds"};
+  });
 
   // Version 3 loads the checkpoint...
   c.drain(c.clock_, c.clock_ + c.opt_.checkpoint_read_latency, nullptr);
@@ -43,7 +47,9 @@ void StopAndRetryPolicy::recover(ProtocolCore& core) {
     if (c.processor_crash_) break;
   }
   if (c.handle_processor_crash()) return;
-  c.record(TraceKind::kRetryEnd, "V" + std::to_string(c.spare_id_), "");
+  c.record(TraceKind::kRetryEnd, [&] {
+    return TraceText{"V" + std::to_string(c.spare_id_), ""};
+  });
 
   // Majority vote: two comparisons.
   c.drain(c.clock_, c.clock_ + 2.0 * c.opt_.t_cmp, nullptr);
@@ -52,29 +58,34 @@ void StopAndRetryPolicy::recover(ProtocolCore& core) {
   if (c.handle_processor_crash()) return;
 
   const bool s_matches_a = !retry_crashed && !c.a_.crashed &&
-                           retry.digest() == c.a_.state.digest();
+                           states_match(retry, c.a_.state);
   const bool s_matches_b = !retry_crashed && !c.b_.crashed &&
-                           retry.digest() == c.b_.state.digest();
+                           states_match(retry, c.b_.state);
 
   if (s_matches_a == s_matches_b) {
     // Either all three agree (cannot happen after a mismatch) or all
     // three differ: no majority -> rollback (paper §3.1).
-    c.record(TraceKind::kMajorityVote, "VDS", "no majority");
+    c.record(TraceKind::kMajorityVote,
+             [] { return TraceText{"VDS", "no majority"}; });
     c.rollback();
     return;
   }
 
   EngineSlot& faulty = s_matches_a ? c.b_ : c.a_;
-  c.record(TraceKind::kMajorityVote, "VDS",
-           "V" + std::to_string(faulty.version_id) + " faulty");
+  c.record(TraceKind::kMajorityVote, [&] {
+    return TraceText{"VDS",
+                     "V" + std::to_string(faulty.version_id) + " faulty"};
+  });
 
   // The fault-free retry state replaces the faulty version; version 3
   // takes over that slot and the previous occupant becomes the spare.
   faulty.state = retry;
   faulty.crashed = false;
   std::swap(faulty.version_id, c.spare_id_);
-  c.record(TraceKind::kStateCopy, "VDS",
-           "V" + std::to_string(faulty.version_id) + " joins duplex");
+  c.record(TraceKind::kStateCopy, [&] {
+    return TraceText{"VDS", "V" + std::to_string(faulty.version_id) +
+                                " joins duplex"};
+  });
 
   c.i_ = ic;
   c.consecutive_failures_ = 0;
@@ -197,21 +208,25 @@ void SmtRecoveryPolicy::recover(ProtocolCore& core) {
     }
     const VersionGuess guess = predictor.predict(evidence);
     guessed_faulty_slot = guess == VersionGuess::kVersion1 ? 0 : 1;
-    c.record(TraceKind::kPrediction, "VDS",
-             std::string("guess faulty = slot ") +
-                 (guessed_faulty_slot == 0 ? "A" : "B"));
+    c.record(TraceKind::kPrediction, [&] {
+      return TraceText{"VDS", std::string("guess faulty = slot ") +
+                                  (guessed_faulty_slot == 0 ? "A" : "B")};
+    });
   }
 
   // --- load checkpoint ------------------------------------------------
   c.drain_background(c.clock_,
                      c.clock_ + c.opt_.checkpoint_read_latency);
   c.clock_ += c.opt_.checkpoint_read_latency;
-  c.record(TraceKind::kRetryStart, "T1",
-           "V" + std::to_string(c.spare_id_) + " replays " +
-               std::to_string(ic) + " rounds");
+  c.record(TraceKind::kRetryStart, [&] {
+    return TraceText{"T1", "V" + std::to_string(c.spare_id_) + " replays " +
+                               std::to_string(ic) + " rounds"};
+  });
   if (rf > 0) {
-    c.record(TraceKind::kRollForwardStart, "T2",
-             std::string(to_string(scheme)) + " rf=" + std::to_string(rf));
+    c.record(TraceKind::kRollForwardStart, [&] {
+      return TraceText{"T2", std::string(to_string(scheme)) +
+                                 " rf=" + std::to_string(rf)};
+    });
   }
 
   // --- drain the whole recovery window and bucket the faults ---------
@@ -232,7 +247,8 @@ void SmtRecoveryPolicy::recover(ProtocolCore& core) {
 
   for (const Fault& fault : window_faults) {
     ++c.rep_.faults_seen;
-    c.record(TraceKind::kFaultInjected, "fault", fault.describe());
+    c.record(TraceKind::kFaultInjected,
+             [&] { return TraceText{"fault", fault.describe()}; });
     switch (fault.kind) {
       case FaultKind::kTransient:
       case FaultKind::kCrash: {
@@ -277,7 +293,7 @@ void SmtRecoveryPolicy::recover(ProtocolCore& core) {
   if (retry_hit && !retry_crashed) {
     c.flip_distinct(retry, retry_word, retry_bit);
   }
-  c.record(TraceKind::kRetryEnd, "T1", "");
+  c.record(TraceKind::kRetryEnd, [] { return TraceText{"T1", ""}; });
 
   // --- thread 2: roll-forward ----------------------------------------
   // Candidate states at round ic: P = slot A, Q = slot B.
@@ -338,12 +354,13 @@ void SmtRecoveryPolicy::recover(ProtocolCore& core) {
   if (c.handle_processor_crash()) return;
 
   const bool s_matches_a = !retry_crashed && !c.a_.crashed &&
-                           retry.digest() == c.a_.state.digest();
+                           states_match(retry, c.a_.state);
   const bool s_matches_b = !retry_crashed && !c.b_.crashed &&
-                           retry.digest() == c.b_.state.digest();
+                           states_match(retry, c.b_.state);
 
   if (s_matches_a == s_matches_b) {
-    c.record(TraceKind::kMajorityVote, "VDS", "no majority");
+    c.record(TraceKind::kMajorityVote,
+             [] { return TraceText{"VDS", "no majority"}; });
     // The vote failed; the predictor gets no usable feedback.
     c.rollback();
     return;
@@ -351,8 +368,10 @@ void SmtRecoveryPolicy::recover(ProtocolCore& core) {
 
   const int faulty_slot = s_matches_a ? 1 : 0;
   EngineSlot& faulty = faulty_slot == 0 ? c.a_ : c.b_;
-  c.record(TraceKind::kMajorityVote, "VDS",
-           "V" + std::to_string(faulty.version_id) + " faulty");
+  c.record(TraceKind::kMajorityVote, [&] {
+    return TraceText{"VDS",
+                     "V" + std::to_string(faulty.version_id) + " faulty"};
+  });
 
   // Predictor bookkeeping.
   if (consult_predictor) {
@@ -368,15 +387,17 @@ void SmtRecoveryPolicy::recover(ProtocolCore& core) {
   faulty.state = retry;
   faulty.crashed = false;
   std::swap(faulty.version_id, c.spare_id_);
-  c.record(TraceKind::kStateCopy, "VDS",
-           "V" + std::to_string(faulty.version_id) + " joins duplex");
+  c.record(TraceKind::kStateCopy, [&] {
+    return TraceText{"VDS", "V" + std::to_string(faulty.version_id) +
+                                " joins duplex"};
+  });
 
   // --- apply the roll-forward if it survived ---------------------------
   std::uint64_t progress = 0;
   if (rf > 0) {
     if (scheme_prob) {
       const bool chose_good = chosen_source_slot != faulty_slot;
-      const bool clean = roll_a.digest() == roll_b.digest();
+      const bool clean = states_match(roll_a, roll_b);
       if (chose_good && clean) {
         c.a_.state = roll_a;
         c.b_.state = roll_a;
@@ -385,7 +406,7 @@ void SmtRecoveryPolicy::recover(ProtocolCore& core) {
     } else if (scheme_det) {
       const VersionState& t_state = faulty_slot == 0 ? roll_qa : roll_a;
       const VersionState& u_state = faulty_slot == 0 ? roll_qb : roll_b;
-      if (t_state.digest() == u_state.digest()) {
+      if (states_match(t_state, u_state)) {
         c.a_.state = t_state;
         c.b_.state = t_state;
         progress = rf;
@@ -405,11 +426,13 @@ void SmtRecoveryPolicy::recover(ProtocolCore& core) {
   if (progress > 0) {
     ++c.rep_.roll_forwards_kept;
     c.rep_.roll_forward_rounds_gained += progress;
-    c.record(TraceKind::kRollForwardEnd, "T2",
-             "kept " + std::to_string(progress) + " rounds");
+    c.record(TraceKind::kRollForwardEnd, [&] {
+      return TraceText{"T2", "kept " + std::to_string(progress) + " rounds"};
+    });
   } else if (rf > 0) {
     ++c.rep_.roll_forwards_discarded;
-    c.record(TraceKind::kRollForwardDiscarded, "T2", "");
+    c.record(TraceKind::kRollForwardDiscarded,
+             [] { return TraceText{"T2", ""}; });
   }
 
   c.i_ = ic + progress;

@@ -4,23 +4,20 @@ namespace vds::fault {
 
 CompareOutcome compare_states(const vds::checkpoint::VersionState& a,
                               const vds::checkpoint::VersionState& b) noexcept {
-  return a.digest() == b.digest() ? CompareOutcome::kMatch
-                                  : CompareOutcome::kMismatch;
+  return states_match(a, b) ? CompareOutcome::kMatch
+                            : CompareOutcome::kMismatch;
 }
 
 VoteOutcome majority_vote(const vds::checkpoint::VersionState& p,
                           const vds::checkpoint::VersionState& q,
                           const vds::checkpoint::VersionState& s) noexcept {
-  const bool pq = p.digest() == q.digest();
-  const bool ps = p.digest() == s.digest();
-  const bool qs = q.digest() == s.digest();
+  const bool pq = states_match(p, q);
+  const bool ps = states_match(p, s);
+  const bool qs = states_match(q, s);
   if (pq && ps) return VoteOutcome::kAllAgree;
   if (qs && !ps) return VoteOutcome::kVersion1Faulty;
   if (ps && !qs) return VoteOutcome::kVersion2Faulty;
-  if (pq && !ps) {
-    // P == Q but the retry disagrees: the retry itself was hit.
-    return VoteOutcome::kNoMajority;
-  }
+  // All three differ, or P == Q but the retry itself was hit.
   return VoteOutcome::kNoMajority;
 }
 

@@ -23,12 +23,24 @@ enum class VoteOutcome : std::uint8_t {
   kAllAgree,        ///< P == Q == S (vote called without a real fault)
 };
 
-/// Digest-based state comparison (what the VDS performs each round).
+/// The one state-comparison rule of every engine: two states match iff
+/// their digests match. Equal words imply equal digests, so the exact
+/// word compare answers the common (fault-free) case and the digest is
+/// computed only when the words differ. The outcome is therefore that
+/// of the pure digest rule in every case, a digest collision included.
+[[nodiscard]] inline bool states_match(
+    const vds::checkpoint::VersionState& a,
+    const vds::checkpoint::VersionState& b) noexcept {
+  return a.equals(b) || a.digest() == b.digest();
+}
+
+/// End-of-round state comparison (what the VDS performs each round),
+/// by states_match().
 [[nodiscard]] CompareOutcome compare_states(
     const vds::checkpoint::VersionState& a,
     const vds::checkpoint::VersionState& b) noexcept;
 
-/// Majority vote over the three candidate states.
+/// Majority vote over the three candidate states, by states_match().
 [[nodiscard]] VoteOutcome majority_vote(
     const vds::checkpoint::VersionState& p,
     const vds::checkpoint::VersionState& q,

@@ -26,11 +26,6 @@ std::vector<Fault> FaultTimeline::drain_window(vds::sim::SimTime from,
   return out;
 }
 
-vds::sim::SimTime FaultTimeline::next_time() const noexcept {
-  if (cursor_ >= faults_.size()) return vds::sim::kTimeInfinity;
-  return faults_[cursor_].when;
-}
-
 Fault sample_fault_body(const FaultConfig& config, vds::sim::Rng& rng) {
   Fault fault;
 

@@ -23,8 +23,13 @@ class FaultTimeline {
   [[nodiscard]] std::vector<Fault> drain_window(vds::sim::SimTime from,
                                                 vds::sim::SimTime to);
 
-  /// Next pending fault time, or infinity if exhausted.
-  [[nodiscard]] vds::sim::SimTime next_time() const noexcept;
+  /// Next pending fault time, or infinity if exhausted. Inline so a
+  /// caller can skip a window with nothing in it
+  /// (`next_time() >= to`) without calling drain_window().
+  [[nodiscard]] vds::sim::SimTime next_time() const noexcept {
+    return cursor_ < faults_.size() ? faults_[cursor_].when
+                                    : vds::sim::kTimeInfinity;
+  }
 
   [[nodiscard]] const std::vector<Fault>& faults() const noexcept {
     return faults_;

@@ -114,5 +114,87 @@ TEST(LockstepSrt, HighFaultRateDegradesThroughput) {
   EXPECT_GT(noisy_run.total_time, clean_run.total_time);
 }
 
+// --- chunk-window boundaries ------------------------------------------
+//
+// A round of 1.0 cut into four 0.25 chunks keeps every clock value
+// exact in binary, so each expectation below is bitwise. A chunk
+// window is [from, to): a fault exactly on a boundary belongs to the
+// chunk that starts there.
+
+SrtConfig boundary_config() {
+  SrtConfig config;
+  config.t = 1.0;
+  config.alpha = 0.5;
+  config.compare_overhead = 0.0;  // round = 2 * 0.5 * 1.0 = 1.0
+  config.chunks_per_round = 4;    // chunk = 0.25
+  config.s = 20;                  // one checkpoint, at the job's end
+  config.job_rounds = 10;
+  config.checkpoint_read_latency = 0.5;
+  return config;
+}
+
+struct BoundaryCase {
+  double when;            ///< fault time
+  double detected_at;     ///< end of the detecting chunk
+  std::uint64_t compared; ///< chunks compared up to the detection
+};
+
+TEST(LockstepSrt, FaultsAtChunkBoundariesAreDetectedInTheirOwnChunk) {
+  const BoundaryCase cases[] = {
+      {2.25, 2.5, 10},  // exactly at the start of round 3's chunk 1
+      {3.0, 3.25, 13},  // exactly at the end of round 3: round 4, chunk 0
+      {2.6, 2.75, 11},  // inside round 3's chunk 2
+  };
+  for (const BoundaryCase& c : cases) {
+    SCOPED_TRACE(c.when);
+    FaultTimeline timeline({transient_at(c.when)});
+    const auto report =
+        LockstepSrt(boundary_config(), vds::sim::Rng(7)).run(timeline);
+    EXPECT_TRUE(report.completed);
+    EXPECT_EQ(report.detections, 1u);
+    EXPECT_EQ(report.rollbacks, 1u);
+    ASSERT_EQ(report.detection_latency.count(), 1u);
+    EXPECT_EQ(report.detection_latency.max(), c.detected_at - c.when);
+    // Rollback to round 0, then all ten rounds (40 chunks) again.
+    EXPECT_EQ(report.comparisons, c.compared + 40u);
+    EXPECT_EQ(report.total_time, c.detected_at + 0.5 + 10.0);
+  }
+}
+
+TEST(LockstepSrt, FaultDuringRollbackLatencyIsDropped) {
+  // The second fault falls in the rollback's read latency
+  // [2.5, 3.0): no chunk window covers it, so it is never seen.
+  FaultTimeline timeline({transient_at(2.25), transient_at(2.6)});
+  const auto report =
+      LockstepSrt(boundary_config(), vds::sim::Rng(8)).run(timeline);
+  EXPECT_EQ(report.faults_seen, 1u);
+  EXPECT_EQ(report.detections, 1u);
+  EXPECT_EQ(report.comparisons, 50u);
+  EXPECT_EQ(report.total_time, 13.0);
+  EXPECT_EQ(timeline.remaining(), 0u);
+}
+
+TEST(LockstepSrt, FaultFreeClockIsThePerChunkSum) {
+  // Skipped (empty) chunk windows still advance the clock by one
+  // chunk each, in the same order of additions.
+  const SrtConfig config = base_config();
+  FaultTimeline timeline(std::vector<Fault>{});
+  const auto report = LockstepSrt(config, vds::sim::Rng(9)).run(timeline);
+  const double chunk =
+      2.0 * config.alpha * config.t * (1.0 + config.compare_overhead) /
+      static_cast<double>(config.chunks_per_round);
+  double clock = 0.0;
+  for (std::uint64_t k = 0;
+       k < config.job_rounds *
+               static_cast<std::uint64_t>(config.chunks_per_round);
+       ++k) {
+    clock += chunk;
+  }
+  EXPECT_EQ(report.total_time, clock);
+  EXPECT_EQ(report.comparisons,
+            config.job_rounds *
+                static_cast<std::uint64_t>(config.chunks_per_round));
+}
+
 }  // namespace
 }  // namespace vds::baseline

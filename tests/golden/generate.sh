@@ -33,3 +33,6 @@ printf 'wrote sweep_schemes.csv\n'
 
 "$sweep" --dataset engines --threads 1 > "$here/sweep_engines.csv"
 printf 'wrote sweep_engines.csv\n'
+
+VDS_WRITE_GOLDEN_TRACE=1 "$build/tests/core_test_trace_golden" > /dev/null
+printf 'wrote trace/*.tsv\n'

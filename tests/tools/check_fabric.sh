@@ -43,9 +43,12 @@ wait_for_socket() { # path
 
 # Two campaign sizes: SMALL finishes in well under a second (parity
 # and chaos drills); BIG takes seconds on one thread, leaving a wide
-# window to kill things mid-flight.
+# window to kill things mid-flight. BIG's 180-round jobs keep it there:
+# at the default 60 rounds the race drill's 20000-cell lease can finish
+# inside its 300 ms expiry.
 SMALL=(--replicas 800 --grid 1,5 --kinds transient,crash --scheme det --seed 3)
-BIG=(--replicas 10000 --grid 1,5 --kinds transient,crash --scheme det --seed 3)
+BIG=(--replicas 10000 --grid 1,5 --kinds transient,crash --scheme det --seed 3
+     --rounds 180)
 
 small_expected="$("$mc" "${SMALL[@]}" --threads 2 --quiet --json-out - \
   | grep -o '"digest": "[0-9a-f]*"' | grep -o '[0-9a-f]\{16\}')"
@@ -84,7 +87,10 @@ got="$(digest_line "$tmp/one.out")"
   || fail "1-worker digest $got != vds_mc $small_expected"
 
 # --- 2. three workers over TCP, many small leases ----------------------
-port=$((21000 + RANDOM % 20000))
+# Below Linux's default ephemeral range (32768-60999): a listen port
+# there can already be the local port of some client socket, and the
+# coordinator then fails to bind.
+port=$((21000 + RANDOM % 11000))
 "$fabric" --coordinate --port "$port" --workdir "$tmp/three.work" \
   --lease-cells 200 "${SMALL[@]}" --threads 2 \
   >"$tmp/three.out" 2>"$tmp/three.err" &

@@ -14,8 +14,10 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 # Default grid (5 rounds x 4 kinds) at 400 replicas: an 8000-cell
-# budget the 5% target undercuts by a wide margin.
-flags=(--quiet --replicas 400 --job-rounds 400 --seed 7
+# budget the 5% target undercuts by a wide margin. 1200-round jobs keep
+# the single-thread run above a second, so the 500 ms heartbeat in (c)
+# must fire.
+flags=(--quiet --replicas 400 --job-rounds 1200 --seed 7
        --target-ci 0.05 --min-replicas 16 --batch 32)
 budget=8000
 
