@@ -13,6 +13,19 @@ namespace vds::checkpoint {
 /// single injected bit flip diverges the state for all later rounds,
 /// and (c) states can be compared/digested cheaply -- exactly the
 /// properties the VDS protocol relies on.
+///
+/// Clean tags. A fault-free state's words are a pure function of
+/// (job seed, words, round), so a state built by the seeded constructor
+/// (or golden()) and advanced only with the next golden round index
+/// carries no words at all: it is a *clean tag*. Advancing a tag to the
+/// next round and comparing two tags of the same round are O(1).
+/// Anything else -- flip_bit(), another round index, digest(),
+/// data()/word(), a compare against a dirty state -- first materializes
+/// the words from a process-wide golden table (one snapshot per 64
+/// rounds per (seed, words), extended under a mutex) and then behaves
+/// exactly like an eager state. A clean state drops materialized words
+/// again on its next golden round. Like a std::vector, one state must
+/// not be used from two threads at once, const calls included.
 class VersionState {
  public:
   /// Creates the canonical initial state for a given job seed.
@@ -21,13 +34,23 @@ class VersionState {
 
   VersionState() = default;
 
+  /// The fault-free state of (job_seed, words) after `round` rounds: a
+  /// clean tag, equal to the seeded state advanced through rounds
+  /// 1..round.
+  [[nodiscard]] static VersionState golden(std::uint64_t job_seed,
+                                           std::size_t words,
+                                           std::uint64_t round);
+
   /// Advances the state by one round of "computation": a deterministic,
   /// invertibility-free mixing of every word with the round index.
-  /// Diverse versions use a per-version `diversity_salt` that changes
-  /// *how* the state is computed but not *what* it represents: the
-  /// comparison below is performed on the canonical digest, which is
-  /// salt-independent for fault-free execution.
-  void advance_round(std::uint64_t round_index) noexcept;
+  void advance_round(std::uint64_t round_index) noexcept {
+    if (clean_ && round_index == rounds_applied_ + 1) {
+      materialized_ = false;
+      ++rounds_applied_;
+      return;
+    }
+    advance_words(round_index);
+  }
 
   /// Injects a transient fault: flips bit `bit` of word `word`
   /// (both reduced modulo the respective sizes).
@@ -39,13 +62,20 @@ class VersionState {
   [[nodiscard]] std::uint64_t digest() const noexcept;
 
   /// Exact word-for-word comparison.
-  [[nodiscard]] bool equals(const VersionState& other) const noexcept;
+  [[nodiscard]] bool equals(const VersionState& other) const noexcept {
+    if (clean_ && other.clean_ && rounds_applied_ == other.rounds_applied_ &&
+        seed_ == other.seed_ && words_ == other.words_) {
+      return true;
+    }
+    return equal_words(other);
+  }
 
-  [[nodiscard]] std::size_t words() const noexcept { return data_.size(); }
+  [[nodiscard]] std::size_t words() const noexcept { return words_; }
   [[nodiscard]] std::uint64_t word(std::size_t i) const {
-    return data_.at(i);
+    return data().at(i);
   }
   [[nodiscard]] const std::vector<std::uint64_t>& data() const noexcept {
+    if (!materialized_) materialize();
     return data_;
   }
 
@@ -54,14 +84,27 @@ class VersionState {
     return rounds_applied_;
   }
 
+  /// True while the state is known to hold the fault-free words of its
+  /// (seed, words) after rounds_applied() rounds, materialized or not.
+  [[nodiscard]] bool clean() const noexcept { return clean_; }
+
   friend bool operator==(const VersionState& a,
                          const VersionState& b) noexcept {
     return a.equals(b);
   }
 
  private:
-  std::vector<std::uint64_t> data_;
+  void advance_words(std::uint64_t round_index) noexcept;
+  void materialize() const noexcept;
+  [[nodiscard]] bool equal_words(const VersionState& other) const noexcept;
+
+  std::uint64_t seed_ = 0;
   std::uint64_t rounds_applied_ = 0;
+  std::size_t words_ = 0;
+  bool clean_ = false;
+  /// False while data_ is stale and the state is a bare clean tag.
+  mutable bool materialized_ = true;
+  mutable std::vector<std::uint64_t> data_;
 };
 
 }  // namespace vds::checkpoint

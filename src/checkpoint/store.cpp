@@ -15,11 +15,15 @@ double CheckpointStore::save(std::uint64_t round, const VersionState& state,
   Checkpoint checkpoint;
   checkpoint.round = round;
   checkpoint.state = state;
-  checkpoint.crc = crc32_words(state.data());
   checkpoint.saved_at = now;
+  if (ecc_ == EccMode::kCrcOnly && state.clean()) {
+    checkpoint.deferred_crc = state;
+  } else {
+    checkpoint.crc = crc32_words(checkpoint.state.data());
+  }
   if (ecc_ == EccMode::kSecded) {
     checkpoint.ecc.reserve(state.words());
-    for (const auto word : state.data()) {
+    for (const auto word : checkpoint.state.data()) {
       checkpoint.ecc.push_back(secded_encode(word).check);
     }
   }
@@ -46,19 +50,33 @@ std::optional<Checkpoint> CheckpointStore::latest_at_or_before(
 }
 
 bool CheckpointStore::verify(const Checkpoint& checkpoint) noexcept {
-  return crc32_words(checkpoint.state.data()) == checkpoint.crc;
+  if (!checkpoint.deferred_crc) {
+    return crc32_words(checkpoint.state.data()) == checkpoint.crc;
+  }
+  // Equal words have equal CRCs; only a changed state needs both.
+  const VersionState& saved = *checkpoint.deferred_crc;
+  return checkpoint.state.equals(saved) ||
+         crc32_words(checkpoint.state.data()) == crc32_words(saved.data());
+}
+
+void CheckpointStore::resolve_crc(Checkpoint& checkpoint) {
+  if (!checkpoint.deferred_crc) return;
+  checkpoint.crc = crc32_words(checkpoint.deferred_crc->data());
+  checkpoint.deferred_crc.reset();
 }
 
 bool CheckpointStore::corrupt_stored_bit(std::size_t which,
                                          std::size_t word, unsigned bit) {
   if (which >= history_.size()) return false;
   Checkpoint& checkpoint = history_[history_.size() - 1 - which];
+  resolve_crc(checkpoint);
   checkpoint.state.flip_bit(word, bit);
   return true;
 }
 
 RestoreStatus CheckpointStore::restore_latest(Checkpoint& out) {
   if (history_.empty()) return RestoreStatus::kUnrecoverable;
+  resolve_crc(history_.back());
   Checkpoint checkpoint = history_.back();
 
   bool corrected_any = false;

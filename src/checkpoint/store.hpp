@@ -16,6 +16,10 @@ struct Checkpoint {
   std::uint64_t round = 0;       ///< global round index the state is valid at
   VersionState state;
   std::uint32_t crc = 0;
+  /// The clean tag a CRC-only save stored instead of computing `crc`
+  /// (which is then 0): the CRC is that of the tag's golden words.
+  /// Empty once the CRC is computed. See CheckpointStore::save().
+  std::optional<VersionState> deferred_crc;
   vds::sim::SimTime saved_at = 0.0;
   /// SEC-DED check bytes, one per state word, when the store runs with
   /// EccMode::kSecded. Single-bit storage rot then becomes correctable
@@ -53,7 +57,11 @@ class CheckpointStore {
                            std::size_t keep_last = 2,
                            EccMode ecc = EccMode::kCrcOnly);
 
-  /// Persists a checkpoint; returns the modeled write latency.
+  /// Persists a checkpoint; returns the modeled write latency. A clean
+  /// state under EccMode::kCrcOnly is stored as its tag and its CRC is
+  /// deferred: corrupt_stored_bit(), verify() and restore_latest()
+  /// compute it from the golden words before they damage or judge the
+  /// state, so every integrity outcome is that of the eager CRC.
   double save(std::uint64_t round, const VersionState& state,
               vds::sim::SimTime now);
 
@@ -98,6 +106,9 @@ class CheckpointStore {
   void clear();
 
  private:
+  /// Computes a deferred CRC into `crc` and drops the saved tag.
+  static void resolve_crc(Checkpoint& checkpoint);
+
   StoreLatency latency_;
   std::size_t keep_last_;
   EccMode ecc_;

@@ -85,7 +85,6 @@ void ConventionalCore::apply_fault(const Fault& fault, EngineSlot* occupant,
 void ConventionalCore::drain(double from, double to, EngineSlot* occupant,
                              VersionState* retry_state,
                              bool* retry_crashed) {
-  if (timeline_.next_time() >= to) return;  // empty window
   for (const Fault& fault : timeline_.drain_window(from, to)) {
     apply_fault(fault, occupant, retry_state, retry_crashed);
   }

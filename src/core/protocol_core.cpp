@@ -122,7 +122,6 @@ RunReport ProtocolCore::run() {
 }
 
 void ProtocolCore::drain_background(double from, double to) {
-  if (timeline_.next_time() >= to) return;  // empty window
   for (const Fault& fault : timeline_.drain_window(from, to)) {
     apply_background_fault(fault);
   }

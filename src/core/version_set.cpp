@@ -54,9 +54,10 @@ const vds::checkpoint::VersionState& VersionSet::golden_at(
   if (round < golden_round_) {
     throw std::logic_error("VersionSet::golden_at: rounds must not decrease");
   }
-  while (golden_round_ < round) {
-    ++golden_round_;
-    golden_.advance_round(golden_round_);
+  if (round != golden_round_) {
+    golden_ = vds::checkpoint::VersionState::golden(
+        options_.job_seed, options_.state_words, round);
+    golden_round_ = round;
   }
   return golden_;
 }

@@ -54,8 +54,8 @@ class VersionSet {
            (permanent_->affected_mask >> (version_id - 1)) & 1u;
   }
 
-  /// Golden fault-free state after `round` rounds. Must be called with
-  /// non-decreasing `round` values (states are advanced incrementally).
+  /// Golden fault-free state after `round` rounds, as a clean tag.
+  /// Must be called with non-decreasing `round` values.
   [[nodiscard]] const vds::checkpoint::VersionState& golden_at(
       std::uint64_t round);
 

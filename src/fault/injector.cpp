@@ -13,8 +13,8 @@ FaultTimeline::FaultTimeline(std::vector<Fault> faults)
                    });
 }
 
-std::vector<Fault> FaultTimeline::drain_window(vds::sim::SimTime from,
-                                               vds::sim::SimTime to) {
+std::vector<Fault> FaultTimeline::drain_pending(vds::sim::SimTime from,
+                                                vds::sim::SimTime to) {
   std::vector<Fault> out;
   // Skip anything strictly before the window (already consumed or
   // belonging to a phase the caller chose to skip).

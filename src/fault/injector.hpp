@@ -19,13 +19,16 @@ class FaultTimeline {
   explicit FaultTimeline(std::vector<Fault> faults);
 
   /// All faults with `when` in [from, to). Advances the internal cursor;
-  /// calls must be made with non-decreasing windows.
+  /// calls must be made with non-decreasing windows. Almost every window
+  /// ends at or before the next pending fault (`next_time() >= to`): it
+  /// is empty, leaves the cursor as it is, and costs one inline compare.
   [[nodiscard]] std::vector<Fault> drain_window(vds::sim::SimTime from,
-                                                vds::sim::SimTime to);
+                                                vds::sim::SimTime to) {
+    if (next_time() >= to) return {};
+    return drain_pending(from, to);
+  }
 
-  /// Next pending fault time, or infinity if exhausted. Inline so a
-  /// caller can skip a window with nothing in it
-  /// (`next_time() >= to`) without calling drain_window().
+  /// Next pending fault time, or infinity if exhausted.
   [[nodiscard]] vds::sim::SimTime next_time() const noexcept {
     return cursor_ < faults_.size() ? faults_[cursor_].when
                                     : vds::sim::kTimeInfinity;
@@ -42,6 +45,9 @@ class FaultTimeline {
   void rewind() noexcept { cursor_ = 0; }
 
  private:
+  [[nodiscard]] std::vector<Fault> drain_pending(vds::sim::SimTime from,
+                                                 vds::sim::SimTime to);
+
   std::vector<Fault> faults_;
   std::size_t cursor_ = 0;
 };

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <random>
+#include <vector>
+
 namespace vds::baseline {
 namespace {
 
@@ -194,6 +200,210 @@ TEST(LockstepSrt, FaultFreeClockIsThePerChunkSum) {
   EXPECT_EQ(report.comparisons,
             config.job_rounds *
                 static_cast<std::uint64_t>(config.chunks_per_round));
+}
+
+// --- differential: the clean-chunk loop against the per-chunk loop -----
+
+/// LockstepSrt::run as it was before clean chunks ran as a bare clock
+/// loop: every chunk takes the drain-and-classify body.
+vds::core::RunReport reference_run(const SrtConfig& config,
+                                   FaultTimeline& timeline) {
+  vds::core::RunReport rep;
+  const double round_time =
+      2.0 * config.alpha * config.t * (1.0 + config.compare_overhead);
+  const double chunk_time =
+      round_time / static_cast<double>(config.chunks_per_round);
+
+  double clock = 0.0;
+  std::uint64_t base = 0;
+  std::uint64_t i = 0;
+
+  while (base + i < config.job_rounds && clock <= config.max_time) {
+    bool fault_detected = false;
+    bool processor_crash = false;
+    for (int chunk = 0; chunk < config.chunks_per_round; ++chunk) {
+      std::vector<Fault> faults;
+      if (timeline.next_time() < clock + chunk_time) {
+        faults = timeline.drain_window(clock, clock + chunk_time);
+      }
+      clock += chunk_time;
+      for (const Fault& fault : faults) {
+        ++rep.faults_seen;
+        switch (fault.kind) {
+          case FaultKind::kTransient:
+            ++rep.transient_faults;
+            fault_detected = true;
+            break;
+          case FaultKind::kCrash:
+            ++rep.crash_faults;
+            fault_detected = true;
+            break;
+          case FaultKind::kPermanent:
+            ++rep.permanent_faults;
+            rep.silent_corruption = true;
+            break;
+          case FaultKind::kProcessorCrash:
+            ++rep.processor_crashes;
+            processor_crash = true;
+            fault_detected = true;
+            break;
+        }
+        if (fault_detected) {
+          rep.detection_latency.add(clock - fault.when);
+        }
+      }
+      ++rep.comparisons;
+      if (fault_detected) break;
+    }
+
+    if (fault_detected || processor_crash) {
+      ++rep.detections;
+      const double recovery_start = clock;
+      clock += config.checkpoint_read_latency;
+      i = 0;
+      ++rep.rollbacks;
+      rep.recovery_time.add(clock - recovery_start);
+      continue;
+    }
+
+    ++i;
+    if (i >= static_cast<std::uint64_t>(config.s) ||
+        base + i >= config.job_rounds) {
+      clock += config.checkpoint_write_latency;
+      ++rep.checkpoints;
+      base += i;
+      i = 0;
+    }
+  }
+
+  rep.total_time = clock;
+  rep.rounds_committed = std::min(base + i, config.job_rounds);
+  rep.completed = rep.rounds_committed >= config.job_rounds;
+  return rep;
+}
+
+void expect_same_accumulator(const vds::sim::Accumulator& a,
+                             const vds::sim::Accumulator& b) {
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.sum()),
+            std::bit_cast<std::uint64_t>(b.sum()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.mean()),
+            std::bit_cast<std::uint64_t>(b.mean()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.variance()),
+            std::bit_cast<std::uint64_t>(b.variance()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.min()),
+            std::bit_cast<std::uint64_t>(b.min()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.max()),
+            std::bit_cast<std::uint64_t>(b.max()));
+}
+
+void expect_same_report(const vds::core::RunReport& a,
+                        const vds::core::RunReport& b) {
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.failed_safe, b.failed_safe);
+  EXPECT_EQ(a.silent_corruption, b.silent_corruption);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.total_time),
+            std::bit_cast<std::uint64_t>(b.total_time));
+  EXPECT_EQ(a.rounds_committed, b.rounds_committed);
+  EXPECT_EQ(a.faults_seen, b.faults_seen);
+  EXPECT_EQ(a.transient_faults, b.transient_faults);
+  EXPECT_EQ(a.crash_faults, b.crash_faults);
+  EXPECT_EQ(a.permanent_faults, b.permanent_faults);
+  EXPECT_EQ(a.processor_crashes, b.processor_crashes);
+  EXPECT_EQ(a.detections, b.detections);
+  EXPECT_EQ(a.recoveries_ok, b.recoveries_ok);
+  EXPECT_EQ(a.rollbacks, b.rollbacks);
+  EXPECT_EQ(a.comparisons, b.comparisons);
+  EXPECT_EQ(a.checkpoints, b.checkpoints);
+  EXPECT_EQ(a.roll_forwards_kept, b.roll_forwards_kept);
+  EXPECT_EQ(a.roll_forwards_discarded, b.roll_forwards_discarded);
+  EXPECT_EQ(a.roll_forward_rounds_gained, b.roll_forward_rounds_gained);
+  EXPECT_EQ(a.predictions, b.predictions);
+  EXPECT_EQ(a.prediction_hits, b.prediction_hits);
+  EXPECT_EQ(a.adaptive_det_recoveries, b.adaptive_det_recoveries);
+  EXPECT_EQ(a.adaptive_prob_recoveries, b.adaptive_prob_recoveries);
+  EXPECT_EQ(a.scheme_switches, b.scheme_switches);
+  expect_same_accumulator(a.detection_latency, b.detection_latency);
+  expect_same_accumulator(a.recovery_time, b.recovery_time);
+}
+
+TEST(LockstepSrt, CleanChunkLoopMatchesThePerChunkLoopBitwise) {
+  std::mt19937_64 rng(20041);
+  const auto pick = [&](std::uint64_t n) {
+    return static_cast<std::uint64_t>(rng() % n);
+  };
+  const auto uniform = [&] {
+    return static_cast<double>(rng() >> 11) * 0x1.0p-53;
+  };
+  const int chunk_counts[] = {1, 3, 7, 100};
+  const double alphas[] = {0.5, 0.65, 0.8};
+  const int intervals[] = {1, 5, 20};
+
+  for (int trial = 0; trial < 400; ++trial) {
+    SCOPED_TRACE(trial);
+    SrtConfig config;
+    config.alpha = alphas[pick(3)];
+    config.compare_overhead = pick(2) == 0 ? 0.0 : 0.1;
+    config.chunks_per_round = chunk_counts[pick(4)];
+    config.s = intervals[pick(3)];
+    config.job_rounds = 1 + pick(60);
+    config.checkpoint_write_latency = pick(2) == 0 ? 0.0 : 0.37;
+    config.checkpoint_read_latency = pick(2) == 0 ? 0.0 : 0.5;
+    const double round_time =
+        2.0 * config.alpha * config.t * (1.0 + config.compare_overhead);
+    const double chunk_time =
+        round_time / static_cast<double>(config.chunks_per_round);
+    const double horizon =
+        1.5 * round_time * static_cast<double>(config.job_rounds);
+    if (pick(4) == 0) config.max_time = uniform() * horizon;  // a cut
+
+    // The clock values of the fault-free path: chunk boundaries as the
+    // engine computes them, by repeated addition.
+    std::vector<double> boundaries;
+    double clock = 0.0;
+    for (std::uint64_t k = 0;
+         k < config.job_rounds *
+                 static_cast<std::uint64_t>(config.chunks_per_round);
+         ++k) {
+      clock += chunk_time;
+      boundaries.push_back(clock);
+    }
+
+    std::vector<Fault> faults;
+    const std::uint64_t count = pick(6);
+    for (std::uint64_t n = 0; n < count; ++n) {
+      Fault fault;
+      const std::uint64_t kind = pick(8);
+      fault.kind = kind < 4   ? FaultKind::kTransient
+                   : kind < 5 ? FaultKind::kCrash
+                   : kind < 7 ? FaultKind::kPermanent
+                              : FaultKind::kProcessorCrash;
+      switch (pick(3)) {
+        case 0:  // exactly on a chunk boundary
+          fault.when = boundaries[pick(boundaries.size())];
+          break;
+        case 1: {  // two faults inside one chunk
+          fault.when = boundaries[pick(boundaries.size())] + 0.25 * chunk_time;
+          Fault twin = fault;
+          twin.when += 0.5 * chunk_time;
+          faults.push_back(twin);
+          break;
+        }
+        default:
+          fault.when = uniform() * horizon;
+          break;
+      }
+      faults.push_back(fault);
+    }
+
+    FaultTimeline for_engine(faults);
+    FaultTimeline for_reference(faults);
+    const auto got =
+        LockstepSrt(config, vds::sim::Rng(trial)).run(for_engine);
+    const auto want = reference_run(config, for_reference);
+    expect_same_report(got, want);
+    EXPECT_EQ(for_engine.remaining(), for_reference.remaining());
+  }
 }
 
 }  // namespace

@@ -42,10 +42,9 @@ wait_for_socket() { # path
 }
 
 # Two campaign sizes: SMALL finishes in well under a second (parity
-# and chaos drills); BIG takes seconds on one thread, leaving a wide
-# window to kill things mid-flight. BIG's 180-round jobs keep it there:
-# at the default 60 rounds the race drill's 20000-cell lease can finish
-# inside its 300 ms expiry.
+# and chaos drills); BIG takes longer, leaving a window to kill things
+# mid-flight. The expiry race drill does not rely on BIG's size: it
+# arms the pool.delay chaos site to outlast its 300 ms expiry.
 SMALL=(--replicas 800 --grid 1,5 --kinds transient,crash --scheme det --seed 3)
 BIG=(--replicas 10000 --grid 1,5 --kinds transient,crash --scheme det --seed 3
      --rounds 180)
@@ -154,10 +153,14 @@ grep -q 'attempt 2' "$tmp/kill.err" \
 # --- 4. lease expiry racing completion ---------------------------------
 # The silent worker (--heartbeat-ms 0) keeps computing while its lease
 # expires; a healthy worker picks up the re-issue. Whichever result
-# lands second must coalesce — the digest never changes.
+# lands second must coalesce — the digest never changes. The workers
+# run with the digest-neutral pool.delay chaos site armed (200 us
+# before every pool task), so the 20000-cell lease outlasts the 300 ms
+# expiry however fast the engine gets.
 sock="$tmp/race.sock"
 "$fabric" --coordinate --socket "$sock" --workdir "$tmp/race.work" \
   --lease-cells 20000 --expiry-ms 300 --backoff-ms 50 \
+  --chaos pool.delay=1 \
   "${BIG[@]}" --threads 2 >"$tmp/race.out" 2>"$tmp/race.err" &
 coord=$!
 pids+=("$coord")

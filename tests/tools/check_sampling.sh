@@ -14,11 +14,13 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 # Default grid (5 rounds x 4 kinds) at 400 replicas: an 8000-cell
-# budget the 5% target undercuts by a wide margin. 1200-round jobs keep
-# the single-thread run above a second, so the 500 ms heartbeat in (c)
-# must fire.
+# budget the 5% target undercuts by a wide margin. The digest-neutral
+# pool.delay chaos site sleeps 200 us before every pool task, so the
+# single-thread run outlasts the 500 ms heartbeat in (c) however fast
+# the engine gets. Every compared run carries the same flags.
 flags=(--quiet --replicas 400 --job-rounds 1200 --seed 7
-       --target-ci 0.05 --min-replicas 16 --batch 32)
+       --target-ci 0.05 --min-replicas 16 --batch 32
+       --chaos pool.delay=1)
 budget=8000
 
 digest_of() { grep -o '"digest": "[0-9a-f]*"' "$1"; }

@@ -133,7 +133,14 @@ campaign_request "long" det 1 30000 >&9
 campaign_request "q1" det 2 2 >&9
 campaign_request "q2" retry 3 2 >&9
 campaign_request "q3" rollback 4 2 >&9
-sleep 1  # let "long" dispatch and start burning cells
+# Let "long" dispatch: wait until the server has burned two clock
+# ticks of CPU, which only a running campaign does. A fixed sleep would
+# race the engine's speed; "long" lasts far longer than the wait.
+for _ in $(seq 500); do
+  ticks=$(awk '{print $14 + $15}' "/proc/$pid/stat" 2>/dev/null || echo 0)
+  [ "${ticks:-0}" -ge 2 ] && break
+  sleep 0.01
+done
 kill -TERM "$pid"
 exec 9>&-
 wait "$pid"
