@@ -230,12 +230,7 @@ void ProtocolCore::compare_and_dispatch(std::uint64_t round) {
   if (pending_since_ >= 0.0) {
     rep_.detection_latency.add(clock_ - pending_since_);
   }
-  // Dynamic counter name, but this is the rare recovery path — a map
-  // lookup per invocation is fine.
-  metrics::registry()
-      .counter("engine.recoveries." + std::string(policy_.name()),
-               metrics::Determinism::kDeterministic)
-      .add();
+  policy_.recoveries().add();
   const double recovery_start = clock_;
   policy_.recover(*this);
   rep_.recovery_time.add(clock_ - recovery_start);

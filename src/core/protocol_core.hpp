@@ -13,6 +13,10 @@
 #include "sim/rng.hpp"
 #include "sim/trace.hpp"
 
+namespace vds::runtime::metrics {
+class Counter;
+}  // namespace vds::runtime::metrics
+
 namespace vds::core {
 
 /// One duplex slot: the version currently occupying it, its state and
@@ -47,6 +51,11 @@ class RecoveryPolicy {
   virtual void recover(ProtocolCore& core) = 0;
 
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
+
+  /// The `engine.recoveries.<name>` counter, resolved once per policy
+  /// class and registered on first use.
+  [[nodiscard]] virtual vds::runtime::metrics::Counter& recoveries()
+      const = 0;
 };
 
 /// Shared interpreter spine of the VDS protocol: the round loop,

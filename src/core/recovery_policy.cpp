@@ -21,6 +21,61 @@ using vds::fault::VersionGuess;
 using vds::fault::states_match;
 using vds::sim::TraceKind;
 
+namespace {
+
+metrics::Counter& named_counter(std::string_view prefix,
+                                std::string_view name) {
+  return metrics::registry().counter(
+      std::string(prefix) + std::string(name),
+      metrics::Determinism::kDeterministic);
+}
+
+// One counter per scheme, each a function-local static so the
+// registry lookup runs once and a scheme that never recovers never
+// registers (the golden counter files list no zero entries).
+template <RecoveryScheme kScheme>
+metrics::Counter& scheme_counter() {
+  static metrics::Counter& counter =
+      named_counter("engine.scheme.", short_name(kScheme));
+  return counter;
+}
+
+metrics::Counter& scheme_counter(RecoveryScheme scheme) {
+  switch (scheme) {
+    case RecoveryScheme::kRollback:
+      return scheme_counter<RecoveryScheme::kRollback>();
+    case RecoveryScheme::kStopAndRetry:
+      return scheme_counter<RecoveryScheme::kStopAndRetry>();
+    case RecoveryScheme::kRollForwardDet:
+      return scheme_counter<RecoveryScheme::kRollForwardDet>();
+    case RecoveryScheme::kRollForwardProb:
+      return scheme_counter<RecoveryScheme::kRollForwardProb>();
+    case RecoveryScheme::kRollForwardPredict:
+      break;
+  }
+  return scheme_counter<RecoveryScheme::kRollForwardPredict>();
+}
+
+}  // namespace
+
+metrics::Counter& RollbackPolicy::recoveries() const {
+  static metrics::Counter& counter =
+      named_counter("engine.recoveries.", name());
+  return counter;
+}
+
+metrics::Counter& StopAndRetryPolicy::recoveries() const {
+  static metrics::Counter& counter =
+      named_counter("engine.recoveries.", name());
+  return counter;
+}
+
+metrics::Counter& SmtRecoveryPolicy::recoveries() const {
+  static metrics::Counter& counter =
+      named_counter("engine.recoveries.", name());
+  return counter;
+}
+
 // --- conventional stop-and-retry ---------------------------------------
 
 void StopAndRetryPolicy::recover(ProtocolCore& core) {
@@ -170,10 +225,7 @@ void SmtRecoveryPolicy::recover(ProtocolCore& core) {
   const std::uint64_t ic = c.i_ + 1;
 
   const RecoveryScheme scheme = selector_->choose(c);
-  metrics::registry()
-      .counter("engine.scheme." + std::string(short_name(scheme)),
-               metrics::Determinism::kDeterministic)
-      .add();
+  scheme_counter(scheme).add();
 
   const std::uint64_t cap =
       static_cast<std::uint64_t>(c.opt_.s) >= ic

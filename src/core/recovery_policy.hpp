@@ -24,6 +24,8 @@ class RollbackPolicy final : public RecoveryPolicy {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "rollback";
   }
+  [[nodiscard]] vds::runtime::metrics::Counter& recoveries()
+      const override;
 };
 
 /// Conventional-processor stop-and-retry with 2-out-of-3 vote (paper
@@ -36,6 +38,8 @@ class StopAndRetryPolicy final : public RecoveryPolicy {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "stop_and_retry";
   }
+  [[nodiscard]] vds::runtime::metrics::Counter& recoveries()
+      const override;
 };
 
 /// Chooses the roll-forward scheme for each SMT recovery. The fixed
@@ -95,6 +99,8 @@ class SmtRecoveryPolicy final : public RecoveryPolicy {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "smt_roll_forward";
   }
+  [[nodiscard]] vds::runtime::metrics::Counter& recoveries()
+      const override;
 
  private:
   [[nodiscard]] std::uint64_t intended_roll_forward(

@@ -10,6 +10,9 @@
 #include <ostream>
 #include <stdexcept>
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include "core/campaign.hpp"
 #include "core/report.hpp"
 #include "runtime/chaos.hpp"
@@ -570,6 +573,23 @@ void parse_v3_journal(const std::string& path, std::string_view data,
   }
 }
 
+/// Writes `size` bytes with one write(2). Returns "" on success, else
+/// what went wrong; a short write is a failure, never resumed, so a
+/// record is either wholly in the file or visibly torn. EINTR is
+/// retried only when it interrupted the call before any byte moved.
+std::string write_once(int fd, const void* data, std::size_t size) {
+  ssize_t wrote;
+  do {
+    wrote = ::write(fd, data, size);
+  } while (wrote < 0 && errno == EINTR);
+  if (wrote < 0) return std::strerror(errno);
+  if (std::size_t(wrote) != size) {
+    return "short write: " + std::to_string(wrote) + " of " +
+           std::to_string(size) + " bytes";
+  }
+  return {};
+}
+
 JournalLoad load_impl(const std::string& path) {
   JournalLoad result;
   std::string data;
@@ -608,85 +628,84 @@ JournalLoad Journal::load(const std::string& path,
 Journal::Journal(const std::string& path, std::uint64_t fingerprint,
                  JournalFormat format)
     : path_(path), format_(format) {
-  // "a" keeps existing records (resume); "+" lets us sniff an
+  // O_APPEND keeps existing records (resume) and makes every write(2)
+  // land whole at the end of the file; O_RDWR lets us sniff an
   // existing header. The header is only written when the file is
   // empty.
-  errno = 0;
-  file_ = std::fopen(path.c_str(), "ab+");
-  if (file_ == nullptr) {
+  fd_ = ::open(path.c_str(), O_RDWR | O_APPEND | O_CREAT | O_CLOEXEC, 0666);
+  if (fd_ < 0) {
     throw std::runtime_error(
         "cannot open journal '" + path + "' for appending: " +
         std::strerror(errno) +
         " (check the directory exists and is writable)");
   }
-  const auto fail = [&](const char* what) {
-    const int error = errno;
-    std::fclose(file_);
-    file_ = nullptr;
-    throw std::runtime_error("journal '" + path + "': " + what + ": " +
-                             std::strerror(error));
+  const auto fail = [&](const std::string& what) {
+    ::close(fd_);
+    fd_ = -1;
+    throw std::runtime_error("journal '" + path + "': " + what);
   };
   // A non-seekable path (pipe, some special files) makes the
   // size/header logic below meaningless — fail loudly instead of
   // producing a headerless journal that load() later rejects.
-  errno = 0;
-  if (std::fseek(file_, 0, SEEK_END) != 0) fail("cannot seek");
-  errno = 0;
-  const long size = std::ftell(file_);
-  if (size < 0) fail("cannot determine size");
+  const off_t size = ::lseek(fd_, 0, SEEK_END);
+  if (size < 0) fail(std::string("cannot seek: ") + std::strerror(errno));
   if (size == 0) {
-    errno = 0;
-    bool ok;
+    unsigned char header[64];
+    std::size_t header_len;
     if (format_ == JournalFormat::kV3Binary) {
-      unsigned char header[kV3HeaderSize];
       std::memcpy(header, kV3Magic, sizeof kV3Magic);
       put_le32(header + 8, 3);
       put_le64(header + 12, fingerprint);
       header[kV3HeaderSize - 1] = '\n';
-      ok = std::fwrite(header, 1, sizeof header, file_) == sizeof header;
+      header_len = kV3HeaderSize;
     } else {
-      ok = std::fprintf(file_, kHeaderFormat, fingerprint) >= 0;
+      header_len = std::size_t(std::snprintf(reinterpret_cast<char*>(header),
+                                             sizeof header, kHeaderFormat,
+                                             fingerprint));
     }
-    int error = ok ? 0 : errno;
-    if (ok) {
-      errno = 0;
-      if (std::fflush(file_) != 0) {
-        ok = false;
-        error = errno;
-      }
-    }
-    if (!ok) {
-      std::fclose(file_);
-      file_ = nullptr;
-      throw std::runtime_error("journal '" + path + "': cannot write header: " +
-                               std::strerror(error));
-    }
+    const std::string error = write_once(fd_, header, header_len);
+    if (!error.empty()) fail("cannot write header: " + error);
   } else {
     // Appends must match the file, not the request: a v3-default
     // resume of a v2 journal keeps writing text, and vice versa.
-    errno = 0;
-    if (std::fseek(file_, 0, SEEK_SET) != 0) fail("cannot seek");
     unsigned char head[sizeof kV3Magic] = {};
-    const std::size_t got = std::fread(head, 1, sizeof head, file_);
-    format_ = (got == sizeof head &&
+    const ssize_t got = ::pread(fd_, head, sizeof head, 0);
+    if (got < 0) {
+      fail(std::string("cannot read header: ") + std::strerror(errno));
+    }
+    format_ = (std::size_t(got) == sizeof head &&
                std::memcmp(head, kV3Magic, sizeof head) == 0)
                   ? JournalFormat::kV3Binary
                   : JournalFormat::kV2Text;
-    std::clearerr(file_);  // a short file sets EOF; that is fine
-    errno = 0;
-    if (std::fseek(file_, 0, SEEK_END) != 0) fail("cannot seek");
   }
 }
 
 Journal::Journal(std::FILE* stream, std::string name, JournalFormat format)
-    : path_(std::move(name)), file_(stream), format_(format) {
-  if (file_ == nullptr) {
+    : path_(std::move(name)), format_(format) {
+  if (stream == nullptr) {
     throw std::runtime_error("journal '" + path_ + "': null stream");
+  }
+  // Hand what the caller prepared to the kernel, then keep only the
+  // descriptor: appends bypass stdio. A stream that cannot even flush
+  // its preamble starts out poisoned.
+  if (std::fflush(stream) != 0) failed_.store(true);
+  fd_ = ::fcntl(::fileno(stream), F_DUPFD_CLOEXEC, 0);
+  int error = errno;
+  std::fclose(stream);
+  if (fd_ >= 0 &&
+      ::fcntl(fd_, F_SETFL, ::fcntl(fd_, F_GETFL) | O_APPEND) < 0) {
+    error = errno;
+    ::close(fd_);
+    fd_ = -1;
+  }
+  if (fd_ < 0) {
+    throw std::runtime_error("journal '" + path_ +
+                             "': cannot adopt stream: " + std::strerror(error));
   }
 }
 
 Journal::~Journal() {
-  if (file_ != nullptr) std::fclose(file_);
+  if (fd_ >= 0) ::close(fd_);
 }
 
 void Journal::append(const JournalRecord& record) {
@@ -697,7 +716,6 @@ void Journal::append(const JournalRecord& record) {
   const metrics::Span span("journal.append", "journal", record.index);
   const metrics::ScopedTimer timer(append_ms);
   appends.add();
-  std::lock_guard<std::mutex> lock(mutex_);
   if (failed_.load()) {
     // The file already holds (at best) a torn record; appending more
     // would journal cells the resume path can never trust.
@@ -757,25 +775,15 @@ void Journal::append(const JournalRecord& record) {
       line[line_len / 3] ^= 0x04;  // one flipped bit inside the body
     }
   }
-  // errno is read immediately after the call that failed — a later
-  // succeeding call would reset it and the exception would name the
-  // wrong (or no) error.
-  errno = 0;
-  const std::size_t wrote = std::fwrite(line, 1, line_len, file_);
-  bool write_failed = wrote != line_len;
-  int error = write_failed ? errno : 0;
-  if (!write_failed) {
-    errno = 0;
-    if (std::fflush(file_) != 0) {
-      write_failed = true;
-      error = errno;
-    }
-  }
-  if (write_failed) {
+  // No lock: the record was built on this stack, and one O_APPEND
+  // write(2) puts it whole at the end of the file. An append racing a
+  // failing one may still land after the damaged bytes; the reader
+  // resynchronizes past them, so that record stays valid.
+  const std::string error = write_once(fd_, line, line_len);
+  if (!error.empty()) {
     failed_.store(true);
     throw std::runtime_error("journal '" + path_ + "': write failed (" +
-                             std::strerror(error) +
-                             "); resume data is incomplete");
+                             error + "); resume data is incomplete");
   }
 }
 

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -139,16 +138,17 @@ class Journal {
   /// Opens `path` for appending, writing a `format` header first if
   /// the file is new/empty; a non-empty file keeps its own format
   /// (sniffed from the header) so mixed-version appends never happen.
-  /// Throws std::runtime_error on I/O error (including seek/tell
-  /// failures on a non-seekable path and a header write that fails,
+  /// Throws std::runtime_error on I/O error (including a seek
+  /// failure on a non-seekable path and a header write that fails,
   /// e.g. on a full disk).
   Journal(const std::string& path, std::uint64_t fingerprint,
           JournalFormat format = JournalFormat::kV3Binary);
 
-  /// Takes ownership of an already-open stream (closed on
-  /// destruction). No header is written — the caller prepared the
-  /// stream. `name` labels error messages. Exists for tests that need
-  /// a failing stream (e.g. /dev/full).
+  /// Takes ownership of an already-open stream: flushes it once,
+  /// adopts its descriptor (switched to O_APPEND) and closes the
+  /// stream. No header is written — the caller prepared the stream.
+  /// `name` labels error messages. Exists for tests that need a
+  /// failing stream (e.g. /dev/full).
   Journal(std::FILE* stream, std::string name,
           JournalFormat format = JournalFormat::kV2Text);
 
@@ -157,12 +157,16 @@ class Journal {
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
-  /// Appends one completed cell and flushes. Thread-safe. Throws
-  /// std::runtime_error when the write or flush fails (disk full, …)
-  /// — silently dropping a record would let the campaign report
-  /// success while the resume data is incomplete. After a failure the
-  /// journal is poisoned: `failed()` turns true and every further
-  /// append throws without writing.
+  /// Appends one record with one write(2) on the O_APPEND descriptor,
+  /// so it is in the kernel (not fsync'ed) before `append` returns.
+  /// Thread-safe without a user-space lock: the record is encoded on
+  /// the caller's stack, and concurrent O_APPEND writes of ≤256 bytes
+  /// to a regular file never interleave. Throws std::runtime_error
+  /// when the write fails or comes up short (disk full, …) — silently
+  /// dropping a record would let the campaign report success while
+  /// the resume data is incomplete. After a failure the journal is
+  /// poisoned: `failed()` turns true and every further append throws
+  /// without writing.
   void append(const JournalRecord& record);
 
   /// True once any append (or the one before it) failed.
@@ -182,8 +186,7 @@ class Journal {
 
  private:
   std::string path_;
-  std::mutex mutex_;
-  std::FILE* file_ = nullptr;
+  int fd_ = -1;
   std::atomic<bool> failed_{false};
   const Chaos* chaos_ = nullptr;
   JournalFormat format_ = JournalFormat::kV3Binary;

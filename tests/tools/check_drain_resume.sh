@@ -10,8 +10,12 @@ mc="$build/tools/vds_mc"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
+# The digest-neutral pool.delay chaos site sleeps 200 us before every
+# pool task, so the campaign outlasts the journal poll below however
+# fast the engine and the journal get. Every compared run carries the
+# same flags.
 flags=(--quiet --replicas 500 --grid 1,3,5 --kinds transient,crash
-       --job-rounds 200 --seed 11 --threads 2)
+       --job-rounds 200 --seed 11 --threads 2 --chaos pool.delay=1)
 
 digest_of() { grep -o '"digest": "[0-9a-f]*"' "$1"; }
 
