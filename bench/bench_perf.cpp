@@ -1,6 +1,6 @@
 // Performance micro-benchmarks (google-benchmark) of the simulation
-// substrates themselves: event-queue throughput, protocol-engine round
-// rate, SMT-core simulation speed, and state digesting. These guard
+// substrates themselves: protocol-engine round rate, SMT-core
+// simulation speed, and state digesting. These guard
 // against regressions that would make the experiment harnesses slow.
 
 #include <benchmark/benchmark.h>
@@ -9,29 +9,11 @@
 
 #include "checkpoint/state.hpp"
 #include "core/smt_engine.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "smt/core.hpp"
 #include "smt/workload.hpp"
 
 namespace {
-
-void BM_EventQueueScheduleDrain(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  vds::sim::Rng rng(1);
-  for (auto _ : state) {
-    vds::sim::EventQueue queue;
-    for (std::size_t k = 0; k < n; ++k) {
-      queue.schedule(rng.uniform(), [] {});
-    }
-    while (auto event = queue.pop()) {
-      benchmark::DoNotOptimize(event->when);
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(n) *
-                          state.iterations());
-}
-BENCHMARK(BM_EventQueueScheduleDrain)->Arg(1024)->Arg(16384);
 
 void BM_StateAdvance(benchmark::State& state) {
   vds::checkpoint::VersionState version(7, 64);

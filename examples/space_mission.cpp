@@ -3,8 +3,8 @@
 // faults frequent and occasionally crashes a process; repair is
 // impossible, so every experiment runs under an SMT VDS whose
 // probabilistic roll-forward is steered by crash evidence and a
-// fault-history predictor. The discrete-event simulator sequences the
-// experiment queue and accumulates mission statistics.
+// fault-history predictor. The experiments run back to back; the
+// mission clock and statistics accumulate across the queue.
 
 #include <cstdio>
 #include <memory>
@@ -13,7 +13,6 @@
 
 #include "core/smt_engine.hpp"
 #include "fault/predictor.hpp"
-#include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 
 using namespace vds;
@@ -54,7 +53,6 @@ int main() {
       {"plasma-probe", 5000, 0.018},
   };
 
-  sim::Simulator scheduler;
   sim::Accumulator mission_time;
   sim::Accumulator detection_latency;
   std::uint64_t total_faults = 0;
@@ -65,16 +63,12 @@ int main() {
 
   std::printf("=== space mission: %zu experiments under radiation ===\n\n",
               queue.size());
-  std::printf("%-24s %6s %8s | %5s %9s %8s %7s %6s\n", "experiment",
-              "rounds", "rate", "end", "time", "faults", "p", "rf");
+  std::printf("%-24s %6s %8s | %9s %5s %9s %8s %7s %6s\n", "experiment",
+              "rounds", "rate", "launch", "end", "time", "faults", "p", "rf");
 
+  // Each experiment launches when the previous one finished.
   double launch_at = 0.0;
   for (std::size_t index = 0; index < queue.size(); ++index) {
-    // The DES launches each experiment when the previous one finished;
-    // the VDS engine reports how long it actually took.
-    scheduler.call_at(launch_at, [] {});
-    scheduler.run();
-
     const Experiment& experiment = queue[index];
     core::VdsOptions options = mission_options(experiment.rounds);
 
@@ -106,17 +100,17 @@ int main() {
     predictor_hits += static_cast<double>(report.prediction_hits);
     predictor_total += static_cast<double>(report.predictions);
 
-    std::printf("%-24s %6llu %8.3f | %5s %9.1f %8llu %7.2f %6llu\n",
+    std::printf("%-24s %6llu %8.3f | %9.1f %5s %9.1f %8llu %7.2f %6llu\n",
                 experiment.name.c_str(),
                 static_cast<unsigned long long>(experiment.rounds),
-                experiment.fault_rate,
+                experiment.fault_rate, launch_at,
                 report.completed ? "ok" : "FAIL", report.total_time,
                 static_cast<unsigned long long>(report.faults_seen),
                 report.predictor_accuracy(),
                 static_cast<unsigned long long>(
                     report.roll_forward_rounds_gained));
 
-    launch_at = scheduler.now() + report.total_time;
+    launch_at += report.total_time;
   }
 
   std::printf("\n=== mission summary ===\n");

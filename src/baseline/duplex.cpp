@@ -1,8 +1,10 @@
 #include "baseline/duplex.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+
+#include "core/run_loop.hpp"
 
 namespace vds::baseline {
 
@@ -11,27 +13,110 @@ using vds::fault::FaultKind;
 using vds::fault::Victim;
 
 void DuplexConfig::validate() const {
+  RunConfig::validate();
   const auto fail = [](const char* what) {
     throw std::invalid_argument(std::string("DuplexConfig: ") + what);
   };
-  if (!(t > 0.0) || !std::isfinite(t)) fail("t must be finite and > 0");
   if (!(t_cmp >= 0.0) || !std::isfinite(t_cmp)) {
     fail("t_cmp must be finite and >= 0");
   }
-  if (s < 1) fail("s >= 1");
-  if (job_rounds == 0) fail("job_rounds >= 1");
-  if (!(checkpoint_write_latency >= 0.0) ||
-      !std::isfinite(checkpoint_write_latency) ||
-      !(checkpoint_read_latency >= 0.0) ||
-      !std::isfinite(checkpoint_read_latency)) {
-    fail("checkpoint latencies must be finite and >= 0");
-  }
   if (max_consecutive_failures < 1) fail("max_consecutive_failures >= 1");
-  if (!(max_time > 0.0) || !std::isfinite(max_time)) {
-    fail("max_time must be finite and > 0");
-  }
   if (processors < 2) fail("processors >= 2");
 }
+
+namespace {
+
+/// One physical-duplex run on the shared loop: a round on both
+/// processors, then the cross-processor compare.
+class DuplexRun final : public vds::core::RunLoop {
+ public:
+  DuplexRun(const DuplexConfig& config, vds::fault::FaultTimeline& timeline,
+            vds::sim::Rng& rng)
+      : RunLoop(config), config_(config), timeline_(timeline), rng_(rng),
+        round_time_(config.t + config.t_cmp) {}
+
+  void step();
+
+ private:
+  const DuplexConfig& config_;
+  vds::fault::FaultTimeline& timeline_;
+  vds::sim::Rng& rng_;
+  const double round_time_;
+};
+
+void DuplexRun::step() {
+  bool corrupted_a = false;
+  bool corrupted_b = false;
+  bool processor_crash = false;
+  double first_fault = -1.0;
+
+  for (const Fault& fault :
+       timeline_.drain_window(clock_, clock_ + round_time_)) {
+    ++rep_.faults_seen;
+    if (first_fault < 0.0) first_fault = fault.when;
+    switch (fault.kind) {
+      case FaultKind::kTransient:
+        ++rep_.transient_faults;
+        break;
+      case FaultKind::kCrash:
+        ++rep_.crash_faults;
+        break;
+      case FaultKind::kPermanent:
+        ++rep_.permanent_faults;
+        break;
+      case FaultKind::kProcessorCrash:
+        // Only one of the two processors crashes; the duplex detects
+        // the divergence like any other fault.
+        ++rep_.processor_crashes;
+        processor_crash = true;
+        break;
+    }
+    // Each processor hosts one version: the victim attribute maps
+    // directly onto a physical processor.
+    const bool hits_a =
+        fault.victim == Victim::kVersion1 ||
+        (fault.victim == Victim::kAnyActive && rng_.bernoulli(0.5));
+    if (hits_a) {
+      corrupted_a = true;
+    } else {
+      corrupted_b = true;
+    }
+  }
+  clock_ += round_time_;
+  ++rep_.comparisons;
+
+  if (!corrupted_a && !corrupted_b && !processor_crash) {
+    ++i_;
+    if (checkpoint_due()) commit_checkpoint();
+    return;
+  }
+
+  // Mismatch detected at the end of this round.
+  ++rep_.detections;
+  if (first_fault >= 0.0) rep_.detection_latency.add(clock_ - first_fault);
+  const double recovery_start = clock_;
+  const std::uint64_t ic = i_ + 1;
+
+  // Version 3 replays the interval on one processor at full speed.
+  clock_ += config_.checkpoint_read_latency;
+  clock_ += static_cast<double>(ic) * config_.t + 2.0 * config_.t_cmp;
+  rep_.comparisons += 2;
+
+  if (corrupted_a != corrupted_b) {
+    // Exactly one version corrupted: majority vote succeeds.
+    ++rep_.recoveries_ok;
+    i_ = ic;
+    consecutive_failures_ = 0;
+    if (checkpoint_due()) commit_checkpoint();
+  } else {
+    // Both corrupted (or a processor crash): no majority -> rollback.
+    roll_back();
+    count_failure(config_.max_consecutive_failures);
+  }
+  rep_.recovery_time.add(clock_ - recovery_start);
+}
+
+}  // namespace
 
 PhysicalDuplex::PhysicalDuplex(DuplexConfig config, vds::sim::Rng rng)
     : config_(config), rng_(rng) {
@@ -40,110 +125,8 @@ PhysicalDuplex::PhysicalDuplex(DuplexConfig config, vds::sim::Rng rng)
 
 vds::core::RunReport PhysicalDuplex::run(vds::fault::FaultTimeline& timeline,
                                          vds::sim::Trace* /*trace*/) {
-  vds::core::RunReport rep;
-  const double round_time = config_.t + config_.t_cmp;
-
-  double clock = 0.0;
-  std::uint64_t base = 0;
-  std::uint64_t i = 0;
-  int consecutive_failures = 0;
-
-  while (base + i < config_.job_rounds && clock <= config_.max_time &&
-         !rep.failed_safe) {
-    bool corrupted_a = false;
-    bool corrupted_b = false;
-    bool processor_crash = false;
-    double first_fault = -1.0;
-
-    for (const Fault& fault :
-         timeline.drain_window(clock, clock + round_time)) {
-      ++rep.faults_seen;
-      if (first_fault < 0.0) first_fault = fault.when;
-      switch (fault.kind) {
-        case FaultKind::kTransient:
-          ++rep.transient_faults;
-          break;
-        case FaultKind::kCrash:
-          ++rep.crash_faults;
-          break;
-        case FaultKind::kPermanent:
-          ++rep.permanent_faults;
-          break;
-        case FaultKind::kProcessorCrash:
-          // Only one of the two processors crashes; the duplex detects
-          // the divergence like any other fault.
-          ++rep.processor_crashes;
-          processor_crash = true;
-          break;
-      }
-      // Each processor hosts one version: the victim attribute maps
-      // directly onto a physical processor.
-      const bool hits_a = fault.victim == Victim::kVersion1 ||
-                          (fault.victim == Victim::kAnyActive &&
-                           rng_.bernoulli(0.5));
-      if (hits_a) {
-        corrupted_a = true;
-      } else {
-        corrupted_b = true;
-      }
-    }
-    clock += round_time;
-    ++rep.comparisons;
-
-    if (!corrupted_a && !corrupted_b && !processor_crash) {
-      ++i;
-      if (i >= static_cast<std::uint64_t>(config_.s) ||
-          base + i >= config_.job_rounds) {
-        clock += config_.checkpoint_write_latency;
-        ++rep.checkpoints;
-        base += i;
-        i = 0;
-        consecutive_failures = 0;
-      }
-      continue;
-    }
-
-    // Mismatch detected at the end of this round.
-    ++rep.detections;
-    if (first_fault >= 0.0) rep.detection_latency.add(clock - first_fault);
-    const double recovery_start = clock;
-    const std::uint64_t ic = i + 1;
-
-    // Version 3 replays the interval on one processor at full speed.
-    clock += config_.checkpoint_read_latency;
-    clock += static_cast<double>(ic) * config_.t + 2.0 * config_.t_cmp;
-    rep.comparisons += 2;
-
-    if (corrupted_a != corrupted_b) {
-      // Exactly one version corrupted: majority vote succeeds.
-      ++rep.recoveries_ok;
-      i = ic;
-      consecutive_failures = 0;
-      if (i >= static_cast<std::uint64_t>(config_.s) ||
-          base + i >= config_.job_rounds) {
-        clock += config_.checkpoint_write_latency;
-        ++rep.checkpoints;
-        base += i;
-        i = 0;
-      }
-    } else {
-      // Both corrupted (or a processor crash): no majority -> rollback.
-      clock += config_.checkpoint_read_latency;
-      i = 0;
-      ++rep.rollbacks;
-      ++consecutive_failures;
-      if (consecutive_failures >= config_.max_consecutive_failures) {
-        rep.failed_safe = true;
-      }
-    }
-    rep.recovery_time.add(clock - recovery_start);
-  }
-
-  rep.total_time = clock;
-  rep.rounds_committed = std::min(base + i, config_.job_rounds);
-  rep.completed =
-      !rep.failed_safe && rep.rounds_committed >= config_.job_rounds;
-  return rep;
+  DuplexRun duplex(config_, timeline, rng_);
+  return duplex.run([&duplex] { duplex.step(); }, [] {});
 }
 
 double PhysicalDuplex::per_processor_throughput(

@@ -1,8 +1,7 @@
 #pragma once
 
-#include <cstdint>
-
 #include "core/engine.hpp"
+#include "core/options.hpp"
 #include "core/report.hpp"
 #include "fault/injector.hpp"
 #include "sim/rng.hpp"
@@ -14,17 +13,12 @@ namespace vds::baseline {
 /// diverse version at full speed; states are exchanged and compared
 /// after every round. This is the system a VDS approximates with half
 /// the hardware (paper §1: VDS provides "a cost advantage over duplex
-/// systems because of reduced hardware requirements").
-struct DuplexConfig {
-  double t = 1.0;       ///< round compute time (full speed, no alpha)
+/// systems because of reduced hardware requirements"). Each processor
+/// runs its round in `t`, at full speed (no alpha).
+struct DuplexConfig : vds::core::RunConfig {
   double t_cmp = 0.1;   ///< cross-processor state exchange + compare
-  int s = 20;
-  std::uint64_t job_rounds = 1000;
-  double checkpoint_write_latency = 0.0;
-  double checkpoint_read_latency = 0.0;
   /// Consecutive failed recoveries before fail-safe shutdown.
   int max_consecutive_failures = 8;
-  double max_time = 1e12;
   int processors = 2;  ///< hardware cost metric
 
   void validate() const;

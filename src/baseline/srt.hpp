@@ -1,8 +1,7 @@
 #pragma once
 
-#include <cstdint>
-
 #include "core/engine.hpp"
+#include "core/options.hpp"
 #include "core/report.hpp"
 #include "fault/injector.hpp"
 #include "sim/rng.hpp"
@@ -18,8 +17,10 @@ namespace vds::baseline {
 /// pays a continuous comparison overhead, provides no design diversity
 /// (permanent faults corrupting both copies identically stay invisible)
 /// and, having no third version, recovers only by rollback.
-struct SrtConfig {
-  double t = 1.0;       ///< round of useful work (same unit as VDS)
+///
+/// SRT never fails safe: every detection rolls back, however often, so
+/// it has no consecutive-failure limit.
+struct SrtConfig : vds::core::RunConfig {
   double alpha = 0.65;  ///< SMT slowdown running the two copies
   /// Fractional slowdown from the per-cycle comparison/buffering
   /// hardware being on the critical path.
@@ -27,11 +28,6 @@ struct SrtConfig {
   /// Comparison granularity: chunks per round; detection happens at the
   /// end of the chunk the fault falls in.
   int chunks_per_round = 100;
-  int s = 20;                       ///< checkpoint interval (rounds)
-  std::uint64_t job_rounds = 1000;
-  double checkpoint_write_latency = 0.0;
-  double checkpoint_read_latency = 0.0;
-  double max_time = 1e12;
 
   void validate() const;
 };

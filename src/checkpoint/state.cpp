@@ -57,8 +57,10 @@ struct GoldenTable {
 };
 
 GoldenTable& golden_table() {
-  static GoldenTable table;
-  return table;
+  // Leaked, like metrics::registry(): a thread still running at exit
+  // (an abandoned watchdog attempt) must never see it destroyed.
+  static auto* table = new GoldenTable;
+  return *table;
 }
 
 /// Writes the golden words of (seed, n) after `round` rounds to `out`.

@@ -15,7 +15,7 @@ RunReport ConventionalVds::run(vds::fault::FaultTimeline& timeline,
   const auto policy =
       make_recovery_policy(options_, Platform::kConventional);
   ConventionalCore core(options_, rng_, timeline, trace, *policy);
-  return core.run();
+  return core.run([&core] { core.step_round(); });
 }
 
 }  // namespace vds::core

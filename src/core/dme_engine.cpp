@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
+#include "core/run_loop.hpp"
 #include "runtime/metrics.hpp"
 
 namespace vds::core {
@@ -13,10 +15,10 @@ using vds::fault::Fault;
 using vds::fault::FaultKind;
 
 void DmeConfig::validate() const {
+  RunConfig::validate();
   const auto fail = [](const char* what) {
     throw std::invalid_argument(std::string("DmeConfig: ") + what);
   };
-  if (!(t > 0.0) || !std::isfinite(t)) fail("t must be finite and > 0");
   if (!(alpha >= 0.5) || alpha > 1.0) fail("alpha in [0.5, 1]");
   // The negated form rejects NaN along with out-of-range values.
   if (!(decorrelation >= 0.0 && decorrelation <= 1.0)) {
@@ -31,52 +33,116 @@ void DmeConfig::validate() const {
   if (!(t_cmp >= 0.0) || !std::isfinite(t_cmp)) {
     fail("t_cmp must be finite and >= 0");
   }
-  if (s < 1) fail("s >= 1");
-  if (job_rounds == 0) fail("job_rounds >= 1");
-  if (!(checkpoint_write_latency >= 0.0) ||
-      !std::isfinite(checkpoint_write_latency) ||
-      !(checkpoint_read_latency >= 0.0) ||
-      !std::isfinite(checkpoint_read_latency)) {
-    fail("checkpoint latencies must be finite and >= 0");
-  }
   if (max_consecutive_failures < 1) fail("max_consecutive_failures >= 1");
-  if (!(max_time > 0.0) || !std::isfinite(max_time)) {
-    fail("max_time must be finite and > 0");
-  }
 }
 
 namespace {
 
-// All counts below are pure functions of (config, timeline, engine
-// seed), never of scheduling, so they fold into deterministic global
-// counters once per run — the DME engine's golden-counter surface.
-void fold_dme_metrics(const RunReport& rep, std::uint64_t common_mode,
-                      std::uint64_t divergent_permanents) {
+/// One DME run on the shared loop: both versions compute a round, the
+/// slower one decides when it ends, then the states are compared.
+class DmeRun final : public RunLoop {
+ public:
+  DmeRun(const DmeConfig& config, vds::fault::FaultTimeline& timeline,
+         vds::sim::Rng& rng)
+      : RunLoop(config), config_(config), timeline_(timeline), rng_(rng),
+        round_time_(2.0 * config.t *
+                        std::max(config.alpha1(), config.alpha2()) +
+                    config.t_cmp),
+        p_common_((1.0 - config.decorrelation) * config.common_mode) {}
+
+  void step();
+
+  /// Folds the DME-only counts; the shared ones fold in RunLoop.
+  void fold_metrics() const;
+
+ private:
+  const DmeConfig& config_;
+  vds::fault::FaultTimeline& timeline_;
+  vds::sim::Rng& rng_;
+  const double round_time_;
+  const double p_common_;
+  bool permanent_divergent_ = false;
+  std::uint64_t common_mode_faults_ = 0;
+  std::uint64_t divergent_permanents_ = 0;
+};
+
+void DmeRun::step() {
+  const auto faults = timeline_.drain_window(clock_, clock_ + round_time_);
+  clock_ += round_time_;
+  bool detected = false;
+  for (const Fault& fault : faults) {
+    ++rep_.faults_seen;
+    bool fault_detected = false;
+    switch (fault.kind) {
+      case FaultKind::kTransient:
+        ++rep_.transient_faults;
+        // A transient landing in state the versions share corrupts
+        // both identically and the compare passes — common mode.
+        if (rng_.uniform() < p_common_) {
+          ++common_mode_faults_;
+          rep_.silent_corruption = true;
+        } else {
+          fault_detected = true;
+        }
+        break;
+      case FaultKind::kCrash:
+        ++rep_.crash_faults;
+        fault_detected = true;
+        break;
+      case FaultKind::kPermanent:
+        ++rep_.permanent_faults;
+        // Structurally different code exercises a broken unit
+        // differently with probability d: the versions then diverge
+        // at every compare from here on. Otherwise the defect hits
+        // both identically — silent.
+        if (rng_.uniform() < config_.decorrelation) {
+          ++divergent_permanents_;
+          permanent_divergent_ = true;
+        } else {
+          rep_.silent_corruption = true;
+        }
+        break;
+      case FaultKind::kProcessorCrash:
+        ++rep_.processor_crashes;
+        fault_detected = true;
+        break;
+    }
+    if (fault_detected) {
+      detected = true;
+      rep_.detection_latency.add(clock_ - fault.when);
+    }
+  }
+  ++rep_.comparisons;
+  // A divergent permanent defect manifests in every compare.
+  if (permanent_divergent_) detected = true;
+
+  if (detected) {
+    ++rep_.detections;
+    const double recovery_start = clock_;
+    // Two versions, no majority: rollback is the only recovery.
+    roll_back();
+    rep_.recovery_time.add(clock_ - recovery_start);
+    count_failure(config_.max_consecutive_failures);
+    return;
+  }
+  // Unlike duplex and VDS, DME clears the fail-safe count on every
+  // clean round, not only at a checkpoint.
+  consecutive_failures_ = 0;
+  ++i_;
+  if (checkpoint_due()) commit_checkpoint();
+}
+
+// Pure functions of (config, timeline, engine seed), never of
+// scheduling, so they fold into deterministic global counters.
+void DmeRun::fold_metrics() const {
   using metrics::Determinism;
   auto& reg = metrics::registry();
-  static auto& runs = reg.counter("dme.runs", Determinism::kDeterministic);
-  static auto& completed =
-      reg.counter("dme.completed", Determinism::kDeterministic);
-  static auto& detections =
-      reg.counter("dme.detections", Determinism::kDeterministic);
   static auto& common =
       reg.counter("dme.common_mode_faults", Determinism::kDeterministic);
   static auto& divergent =
       reg.counter("dme.divergent_permanents", Determinism::kDeterministic);
-  static auto& rollbacks =
-      reg.counter("dme.rollbacks", Determinism::kDeterministic);
-  static auto& failed_safe =
-      reg.counter("dme.failed_safe", Determinism::kDeterministic);
-  static auto& silent =
-      reg.counter("dme.silent_corruptions", Determinism::kDeterministic);
-  runs.add();
-  completed.add(rep.completed ? 1 : 0);
-  detections.add(rep.detections);
-  common.add(common_mode);
-  divergent.add(divergent_permanents);
-  rollbacks.add(rep.rollbacks);
-  failed_safe.add(rep.failed_safe ? 1 : 0);
-  silent.add(rep.silent_corruption ? 1 : 0);
+  common.add(common_mode_faults_);
+  divergent.add(divergent_permanents_);
 }
 
 }  // namespace
@@ -88,105 +154,9 @@ DmeEngine::DmeEngine(DmeConfig config, vds::sim::Rng rng)
 
 RunReport DmeEngine::run(vds::fault::FaultTimeline& timeline,
                          vds::sim::Trace* /*trace*/) {
-  RunReport rep;
-  const double d = config_.decorrelation;
-  // The round finishes when the slower version finishes, then the two
-  // states are compared.
-  const double round_time =
-      2.0 * config_.t * std::max(config_.alpha1(), config_.alpha2()) +
-      config_.t_cmp;
-  const double p_common = (1.0 - d) * config_.common_mode;
-
-  double clock = 0.0;
-  std::uint64_t base = 0;  // rounds committed at last checkpoint
-  std::uint64_t i = 0;     // rounds since checkpoint
-  int consecutive_failures = 0;
-  bool permanent_divergent = false;
-  std::uint64_t common_mode_faults = 0;
-  std::uint64_t divergent_permanents = 0;
-
-  while (base + i < config_.job_rounds && clock <= config_.max_time &&
-         !rep.failed_safe) {
-    const auto faults = timeline.drain_window(clock, clock + round_time);
-    clock += round_time;
-    bool detected = false;
-    bool processor_crash = false;
-    for (const Fault& fault : faults) {
-      ++rep.faults_seen;
-      bool fault_detected = false;
-      switch (fault.kind) {
-        case FaultKind::kTransient:
-          ++rep.transient_faults;
-          // A transient landing in state the versions share corrupts
-          // both identically and the compare passes — common mode.
-          if (rng_.uniform() < p_common) {
-            ++common_mode_faults;
-            rep.silent_corruption = true;
-          } else {
-            fault_detected = true;
-          }
-          break;
-        case FaultKind::kCrash:
-          ++rep.crash_faults;
-          fault_detected = true;
-          break;
-        case FaultKind::kPermanent:
-          ++rep.permanent_faults;
-          // Structurally different code exercises a broken unit
-          // differently with probability d: the versions then diverge
-          // at every compare from here on. Otherwise the defect hits
-          // both identically — silent.
-          if (rng_.uniform() < d) {
-            ++divergent_permanents;
-            permanent_divergent = true;
-          } else {
-            rep.silent_corruption = true;
-          }
-          break;
-        case FaultKind::kProcessorCrash:
-          ++rep.processor_crashes;
-          processor_crash = true;
-          fault_detected = true;
-          break;
-      }
-      if (fault_detected) {
-        detected = true;
-        rep.detection_latency.add(clock - fault.when);
-      }
-    }
-    ++rep.comparisons;
-    // A divergent permanent defect manifests in every compare.
-    if (permanent_divergent) detected = true;
-
-    if (detected || processor_crash) {
-      ++rep.detections;
-      const double recovery_start = clock;
-      // Two versions, no majority: rollback is the only recovery.
-      clock += config_.checkpoint_read_latency;
-      i = 0;
-      ++rep.rollbacks;
-      rep.recovery_time.add(clock - recovery_start);
-      if (++consecutive_failures >= config_.max_consecutive_failures) {
-        rep.failed_safe = true;
-      }
-      continue;
-    }
-
-    consecutive_failures = 0;
-    ++i;
-    if (i >= static_cast<std::uint64_t>(config_.s) ||
-        base + i >= config_.job_rounds) {
-      clock += config_.checkpoint_write_latency;
-      ++rep.checkpoints;
-      base += i;
-      i = 0;
-    }
-  }
-
-  rep.total_time = clock;
-  rep.rounds_committed = std::min(base + i, config_.job_rounds);
-  rep.completed = rep.rounds_committed >= config_.job_rounds;
-  fold_dme_metrics(rep, common_mode_faults, divergent_permanents);
+  DmeRun dme(config_, timeline, rng_);
+  const RunReport rep = dme.run([&dme] { dme.step(); }, [] {});
+  dme.fold_metrics();
   return rep;
 }
 

@@ -1,9 +1,9 @@
 #pragma once
 
 #include <algorithm>
-#include <cstdint>
 
 #include "core/engine.hpp"
+#include "core/options.hpp"
 #include "core/report.hpp"
 #include "fault/injector.hpp"
 #include "sim/rng.hpp"
@@ -35,8 +35,7 @@ namespace vds::core {
 /// axis. With only two versions there is no 2-of-3 vote: recovery is
 /// rollback, and a persistent divergent defect ends in fail-safe
 /// shutdown after repeated failures rather than silent corruption.
-struct DmeConfig {
-  double t = 1.0;       ///< round of useful work (same unit as VDS)
+struct DmeConfig : RunConfig {
   double alpha = 0.65;  ///< SMT slowdown of version 1 (the baseline)
   /// Structural-decorrelation parameter d in [0, 1].
   double decorrelation = 0.5;
@@ -46,13 +45,8 @@ struct DmeConfig {
   /// (capped at 1) at full decorrelation.
   double alpha_penalty = 0.25;
   double t_cmp = 0.1;  ///< state-comparison time per round
-  int s = 20;          ///< checkpoint interval in rounds
-  std::uint64_t job_rounds = 1000;
-  double checkpoint_write_latency = 0.0;
-  double checkpoint_read_latency = 0.0;
   /// Consecutive failed recoveries before fail-safe shutdown.
   int max_consecutive_failures = 8;
-  double max_time = 1e12;
 
   void validate() const;
 

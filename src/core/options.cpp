@@ -38,27 +38,37 @@ std::optional<RecoveryScheme> parse_recovery_scheme(
   return std::nullopt;
 }
 
-void VdsOptions::validate() const {
-  const auto fail = [](const std::string& what) {
-    throw std::invalid_argument("VdsOptions: " + what);
+void RunConfig::validate() const {
+  const auto fail = [](const char* what) {
+    throw std::invalid_argument(std::string("RunConfig: ") + what);
   };
   if (!(t > 0.0) || !std::isfinite(t)) fail("t must be finite and > 0");
-  if (!(c >= 0.0) || !std::isfinite(c) || !(t_cmp >= 0.0) ||
-      !std::isfinite(t_cmp)) {
-    fail("c and t_cmp must be finite and >= 0");
-  }
-  if (!(alpha >= 0.5) || alpha > 1.0) fail("alpha must be in [0.5, 1]");
   if (s < 1) fail("s must be >= 1");
   if (job_rounds == 0) fail("job_rounds must be >= 1");
-  if (state_words == 0) fail("state_words must be >= 1");
-  if (max_consecutive_failures < 1) {
-    fail("max_consecutive_failures must be >= 1");
-  }
   if (!(checkpoint_write_latency >= 0.0) ||
       !std::isfinite(checkpoint_write_latency) ||
       !(checkpoint_read_latency >= 0.0) ||
       !std::isfinite(checkpoint_read_latency)) {
     fail("checkpoint latencies must be finite and >= 0");
+  }
+  if (!(max_time > 0.0) || !std::isfinite(max_time)) {
+    fail("max_time must be finite and > 0");
+  }
+}
+
+void VdsOptions::validate() const {
+  RunConfig::validate();
+  const auto fail = [](const std::string& what) {
+    throw std::invalid_argument("VdsOptions: " + what);
+  };
+  if (!(c >= 0.0) || !std::isfinite(c) || !(t_cmp >= 0.0) ||
+      !std::isfinite(t_cmp)) {
+    fail("c and t_cmp must be finite and >= 0");
+  }
+  if (!(alpha >= 0.5) || alpha > 1.0) fail("alpha must be in [0.5, 1]");
+  if (state_words == 0) fail("state_words must be >= 1");
+  if (max_consecutive_failures < 1) {
+    fail("max_consecutive_failures must be >= 1");
   }
   if (hardware_threads != 2 && hardware_threads != 3 &&
       hardware_threads != 5) {
@@ -76,9 +86,6 @@ void VdsOptions::validate() const {
   if (permanent_affects_others_prob < 0.0 ||
       permanent_affects_others_prob > 1.0) {
     fail("permanent_affects_others_prob in [0, 1]");
-  }
-  if (!(max_time > 0.0) || !std::isfinite(max_time)) {
-    fail("max_time must be finite and > 0");
   }
 }
 

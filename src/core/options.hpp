@@ -43,17 +43,31 @@ inline constexpr std::array<RecoveryScheme, 5> kAllRecoverySchemes = {
 [[nodiscard]] std::optional<RecoveryScheme> parse_recovery_scheme(
     std::string_view name) noexcept;
 
-/// Configuration of a VDS execution (either engine).
-struct VdsOptions {
-  // --- timing (same roles as model::Params) ---
-  double t = 1.0;      ///< round compute time
+/// The run fields every engine config shares. VdsOptions, SrtConfig,
+/// DuplexConfig, ReplayConfig and DmeConfig derive from it; each
+/// engine's own validate() calls RunConfig::validate() first.
+struct RunConfig {
+  double t = 1.0;  ///< compute time of one round of useful work
+  int s = 20;      ///< checkpoint interval in committed rounds
+  std::uint64_t job_rounds = 1000;        ///< useful rounds to complete
+  double checkpoint_write_latency = 0.0;  ///< stable-storage write time
+  double checkpoint_read_latency = 0.0;   ///< restore time
+  /// Upper bound on simulated time (guards runaway fault storms).
+  double max_time = 1e12;
+
+  void validate() const;
+};
+
+/// Configuration of a VDS execution (either engine). The run fields
+/// (t, s, job_rounds, checkpoint latencies, max_time) come from
+/// RunConfig and play the same roles as in model::Params.
+struct VdsOptions : RunConfig {
+  // --- timing ---
   double c = 0.1;      ///< context-switch time (conventional processor)
   double t_cmp = 0.1;  ///< state-comparison time
   double alpha = 0.65; ///< SMT slowdown factor (SMT engine only)
-  int s = 20;          ///< checkpoint interval in rounds
 
   // --- job ---
-  std::uint64_t job_rounds = 1000;  ///< useful rounds to complete
   std::uint64_t job_seed = 1;       ///< seeds the initial version state
   std::size_t state_words = 16;     ///< size of a version's state
 
@@ -62,10 +76,6 @@ struct VdsOptions {
   /// Consecutive failed recoveries (no majority / repeated rollback)
   /// before the VDS gives up and shuts down fail-safe.
   int max_consecutive_failures = 8;
-
-  // --- checkpointing ---
-  double checkpoint_write_latency = 0.0;  ///< stable-storage write time
-  double checkpoint_read_latency = 0.0;   ///< restore time
 
   // --- multithread extension (SMT engine, paper §5 outlook) ---
   /// 2 = the paper's main scheme. 3 enables the probabilistic variant
@@ -99,9 +109,6 @@ struct VdsOptions {
   /// (permanent faults are always tolerable via the spare version);
   /// 1 = every version uses the unit (recovery impossible, fail-safe).
   double permanent_affects_others_prob = 0.5;
-
-  /// Upper bound on simulated time (guards runaway fault storms).
-  double max_time = 1e12;
 
   void validate() const;
 

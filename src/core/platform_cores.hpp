@@ -30,8 +30,11 @@ class ConventionalCore final : public ProtocolCore {
              vds::checkpoint::VersionState* retry_state = nullptr,
              bool* retry_crashed = nullptr);
 
+  /// One round: both versions in turn with context switches, then the
+  /// shared compare.
+  void step_round();
+
  protected:
-  void step_round() override;
   void apply_background_fault(const vds::fault::Fault& fault) override {
     apply_fault(fault, nullptr, nullptr, nullptr);
   }
@@ -62,8 +65,11 @@ class SmtCore final : public ProtocolCore {
     return predictor_;
   }
 
+  /// One round: both versions in parallel threads, then the shared
+  /// compare.
+  void step_round();
+
  protected:
-  void step_round() override;
   void apply_background_fault(const vds::fault::Fault& fault) override {
     apply_normal(fault);
   }

@@ -1,81 +1,11 @@
 #include "core/protocol_core.hpp"
 
-#include <algorithm>
-#include <utility>
+#include <string>
 
 #include "fault/detector.hpp"
 #include "runtime/metrics.hpp"
 
 namespace vds::core {
-
-namespace {
-
-namespace metrics = vds::runtime::metrics;
-
-// The engine's observable counterparts of the paper's equations. All
-// protocol event counts are pure functions of (options, seed,
-// timeline) — never of scheduling — so each one folds into a
-// deterministic global counter once, when the run finishes.
-void fold_into_metrics(const RunReport& rep) {
-  using metrics::Determinism;
-  struct EngineCounters {
-    metrics::Counter& runs;
-    metrics::Counter& completed;
-    metrics::Counter& failed_safe;
-    metrics::Counter& silent_corruptions;
-    metrics::Counter& rounds_committed;
-    metrics::Counter& comparisons;
-    metrics::Counter& checkpoints;
-    metrics::Counter& detections;
-    metrics::Counter& rollbacks;
-    metrics::Counter& recoveries_ok;
-    metrics::Counter& roll_forwards_kept;
-    metrics::Counter& roll_forwards_discarded;
-    metrics::Counter& roll_forward_rounds_gained;
-    metrics::Counter& faults_seen;
-    metrics::Counter& predictions;
-    metrics::Counter& prediction_hits;
-  };
-  auto& reg = metrics::registry();
-  static EngineCounters c{
-      reg.counter("engine.runs", Determinism::kDeterministic),
-      reg.counter("engine.completed", Determinism::kDeterministic),
-      reg.counter("engine.failed_safe", Determinism::kDeterministic),
-      reg.counter("engine.silent_corruptions", Determinism::kDeterministic),
-      reg.counter("engine.rounds_committed", Determinism::kDeterministic),
-      reg.counter("engine.comparisons", Determinism::kDeterministic),
-      reg.counter("engine.checkpoints", Determinism::kDeterministic),
-      reg.counter("engine.detections", Determinism::kDeterministic),
-      reg.counter("engine.rollbacks", Determinism::kDeterministic),
-      reg.counter("engine.recoveries_ok", Determinism::kDeterministic),
-      reg.counter("engine.roll_forwards_kept", Determinism::kDeterministic),
-      reg.counter("engine.roll_forwards_discarded",
-                  Determinism::kDeterministic),
-      reg.counter("engine.roll_forward_rounds_gained",
-                  Determinism::kDeterministic),
-      reg.counter("engine.faults_seen", Determinism::kDeterministic),
-      reg.counter("engine.predictions", Determinism::kDeterministic),
-      reg.counter("engine.prediction_hits", Determinism::kDeterministic),
-  };
-  c.runs.add();
-  c.completed.add(rep.completed ? 1 : 0);
-  c.failed_safe.add(rep.failed_safe ? 1 : 0);
-  c.silent_corruptions.add(rep.silent_corruption ? 1 : 0);
-  c.rounds_committed.add(rep.rounds_committed);
-  c.comparisons.add(rep.comparisons);
-  c.checkpoints.add(rep.checkpoints);
-  c.detections.add(rep.detections);
-  c.rollbacks.add(rep.rollbacks);
-  c.recoveries_ok.add(rep.recoveries_ok);
-  c.roll_forwards_kept.add(rep.roll_forwards_kept);
-  c.roll_forwards_discarded.add(rep.roll_forwards_discarded);
-  c.roll_forward_rounds_gained.add(rep.roll_forward_rounds_gained);
-  c.faults_seen.add(rep.faults_seen);
-  c.predictions.add(rep.predictions);
-  c.prediction_hits.add(rep.prediction_hits);
-}
-
-}  // namespace
 
 using vds::checkpoint::VersionState;
 using vds::fault::Fault;
@@ -84,8 +14,8 @@ using vds::sim::TraceKind;
 ProtocolCore::ProtocolCore(const VdsOptions& options, vds::sim::Rng& rng,
                            vds::fault::FaultTimeline& timeline,
                            vds::sim::Trace* trace, RecoveryPolicy& policy)
-    : opt_(options), rng_(rng), timeline_(timeline), trace_(trace),
-      vset_(options),
+    : RunLoop(options), opt_(options), rng_(rng), timeline_(timeline),
+      trace_(trace), vset_(options),
       store_({options.checkpoint_write_latency,
               options.checkpoint_read_latency},
              /*keep_last=*/2),
@@ -97,28 +27,11 @@ ProtocolCore::ProtocolCore(const VdsOptions& options, vds::sim::Rng& rng,
   store_.save(0, a_.state, 0.0);  // initial checkpoint (setup, free)
 }
 
-RunReport ProtocolCore::run() {
-  const metrics::Span run_span("engine.run", "engine");
-  bool aborted = false;
-  while (base_ + i_ < opt_.job_rounds) {
-    if (clock_ > opt_.max_time || rep_.failed_safe) {
-      aborted = true;
-      break;
-    }
-    step_round();
-  }
-  rep_.total_time = clock_;
-  rep_.rounds_committed = std::min(base_ + i_, opt_.job_rounds);
-  rep_.completed = !aborted && !rep_.failed_safe &&
-                   rep_.rounds_committed >= opt_.job_rounds;
-  if (rep_.completed) {
-    const auto& golden = vset_.golden_at(rep_.rounds_committed);
-    rep_.silent_corruption = !vds::fault::states_match(a_.state, golden) ||
-                             !vds::fault::states_match(b_.state, golden);
-    record(TraceKind::kJobDone, [] { return TraceText{"VDS", ""}; });
-  }
-  fold_into_metrics(rep_);
-  return rep_;
+void ProtocolCore::check_committed_state() {
+  const auto& golden = vset_.golden_at(rep_.rounds_committed);
+  rep_.silent_corruption = !vds::fault::states_match(a_.state, golden) ||
+                           !vds::fault::states_match(b_.state, golden);
+  record(TraceKind::kJobDone, [] { return TraceText{"VDS", ""}; });
 }
 
 void ProtocolCore::drain_background(double from, double to) {
@@ -155,37 +68,27 @@ void ProtocolCore::flip_distinct(VersionState& state, std::uint32_t word,
 }
 
 void ProtocolCore::maybe_checkpoint() {
-  if (i_ < static_cast<std::uint64_t>(opt_.s) &&
-      base_ + i_ < opt_.job_rounds) {
-    return;
-  }
+  if (!checkpoint_due()) return;
   drain_background(clock_, clock_ + opt_.checkpoint_write_latency);
-  clock_ += store_.save(base_ + i_, a_.state, clock_);
-  ++rep_.checkpoints;
+  store_.save(base_ + i_, a_.state, clock_);
+  commit_checkpoint();
   record(TraceKind::kCheckpoint, [&] {
-    return TraceText{"VDS", "round " + std::to_string(base_ + i_)};
+    return TraceText{"VDS", "round " + std::to_string(base_)};
   });
-  base_ += i_;
-  i_ = 0;
-  consecutive_failures_ = 0;
 }
 
 void ProtocolCore::rollback() {
   drain_background(clock_, clock_ + opt_.checkpoint_read_latency);
-  clock_ += opt_.checkpoint_read_latency;
+  roll_back();
   const auto checkpoint = store_.latest();
   a_.state = checkpoint->state;
   b_.state = checkpoint->state;
   a_.crashed = b_.crashed = false;
-  i_ = 0;
-  ++rep_.rollbacks;
-  ++consecutive_failures_;
   clear_pending();
   record(TraceKind::kRollback, [&] {
     return TraceText{"VDS", "to round " + std::to_string(base_)};
   });
-  if (consecutive_failures_ >= opt_.max_consecutive_failures) {
-    rep_.failed_safe = true;
+  if (count_failure(opt_.max_consecutive_failures)) {
     record(TraceKind::kFailSafeShutdown, [&] {
       return TraceText{"VDS", "after " +
                                   std::to_string(consecutive_failures_) +

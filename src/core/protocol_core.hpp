@@ -8,6 +8,7 @@
 #include "checkpoint/store.hpp"
 #include "core/options.hpp"
 #include "core/report.hpp"
+#include "core/run_loop.hpp"
 #include "core/version_set.hpp"
 #include "fault/injector.hpp"
 #include "sim/rng.hpp"
@@ -58,20 +59,21 @@ class RecoveryPolicy {
       const = 0;
 };
 
-/// Shared interpreter spine of the VDS protocol: the round loop,
+/// Shared interpreter spine of the VDS protocol on the shared RunLoop:
 /// state comparison, checkpointing, rollback and the fail-safe
 /// counter, identical on both platforms. Platform adapters
 /// (ConventionalCore, SmtCore in platform_cores.hpp) supply the round
-/// timing and the fault-application semantics; a RecoveryPolicy
-/// supplies the mismatch handling. One ProtocolCore interprets one
-/// run and is then discarded — engines construct a fresh core (and
-/// policy) per `run()` call, so runs never share protocol state.
+/// step, its timing and the fault-application semantics; a
+/// RecoveryPolicy supplies the mismatch handling. One ProtocolCore
+/// interprets one run and is then discarded — engines construct a
+/// fresh core (and policy) per `run()` call, so runs never share
+/// protocol state.
 ///
 /// The data members are deliberately open: ProtocolCore is the
 /// internal coordination surface between platform adapters and
 /// recovery policies, not a public API — external code drives engines
 /// through core::Engine.
-class ProtocolCore {
+class ProtocolCore : public RunLoop {
  public:
   ProtocolCore(const VdsOptions& options, vds::sim::Rng& rng,
                vds::fault::FaultTimeline& timeline, vds::sim::Trace* trace,
@@ -81,9 +83,12 @@ class ProtocolCore {
   ProtocolCore(const ProtocolCore&) = delete;
   ProtocolCore& operator=(const ProtocolCore&) = delete;
 
-  /// Executes the job: rounds until `job_rounds` are committed, the
-  /// time budget is exhausted or the VDS has failed safe.
-  RunReport run();
+  /// Executes the job with the adapter's round `step`, then checks the
+  /// committed states against the golden fault-free state.
+  template <typename Step>
+  RunReport run(Step&& step) {
+    return RunLoop::run(step, [this] { check_committed_state(); });
+  }
 
   // --- building blocks shared by platform adapters and policies ----
 
@@ -133,16 +138,10 @@ class ProtocolCore {
   vds::sim::Trace* trace_;
   VersionSet vset_;
   vds::checkpoint::CheckpointStore store_;
-  RunReport rep_;
 
   EngineSlot a_;
   EngineSlot b_;
   int spare_id_ = 3;
-
-  std::uint64_t base_ = 0;  ///< rounds committed at the last checkpoint
-  std::uint64_t i_ = 0;     ///< compared rounds since the checkpoint
-  double clock_ = 0.0;
-  int consecutive_failures_ = 0;
   bool processor_crash_ = false;
 
   double pending_since_ = -1.0;  ///< first undetected fault's time
@@ -153,10 +152,6 @@ class ProtocolCore {
   std::uint8_t pending_bit_ = 0;
 
  protected:
-  /// One complete protocol round: platform-specific compute phases,
-  /// ending in compare_and_dispatch().
-  virtual void step_round() = 0;
-
   /// Applies one fault drained while no single version exclusively
   /// occupies the compute resource (context switch, comparison,
   /// checkpoint I/O) — platform victim semantics.
@@ -168,6 +163,9 @@ class ProtocolCore {
   void compare_and_dispatch(std::uint64_t round);
 
  private:
+  /// Silent-corruption check and job-done trace of a completed run.
+  void check_committed_state();
+
   RecoveryPolicy& policy_;
 };
 

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "core/run_loop.hpp"
+#include "replay/replay_core.hpp"
 #include "runtime/metrics.hpp"
 
 namespace vds::core {
@@ -20,10 +23,10 @@ using vds::replay::RoundRecord;
 using vds::replay::WindowVerdict;
 
 void ReplayConfig::validate() const {
+  RunConfig::validate();
   const auto fail = [](const char* what) {
     throw std::invalid_argument(std::string("ReplayConfig: ") + what);
   };
-  if (!(t > 0.0) || !std::isfinite(t)) fail("t must be finite and > 0");
   if (!(alpha >= 0.5) || alpha > 1.0) fail("alpha in [0.5, 1]");
   if (!(record_overhead >= 0.0) || !std::isfinite(record_overhead)) {
     fail("record_overhead must be finite and >= 0");
@@ -32,54 +35,203 @@ void ReplayConfig::validate() const {
   if (!(compare_time >= 0.0) || !std::isfinite(compare_time)) {
     fail("compare_time must be finite and >= 0");
   }
-  if (s < 1) fail("s >= 1");
-  if (job_rounds == 0) fail("job_rounds >= 1");
-  if (!(checkpoint_write_latency >= 0.0) ||
-      !std::isfinite(checkpoint_write_latency) ||
-      !(checkpoint_read_latency >= 0.0) ||
-      !std::isfinite(checkpoint_read_latency)) {
-    fail("checkpoint latencies must be finite and >= 0");
-  }
   if (max_consecutive_failures < 1) fail("max_consecutive_failures >= 1");
-  if (!(max_time > 0.0) || !std::isfinite(max_time)) {
-    fail("max_time must be finite and > 0");
-  }
 }
 
 namespace {
 
-// All counts below are pure functions of (config, timeline), never of
-// scheduling, so they fold into deterministic global counters once per
-// run — the replay engine's golden-counter surface.
-void fold_replay_metrics(const RunReport& rep, std::uint64_t windows,
-                         std::uint64_t mismatches,
-                         std::uint64_t rounds_recorded) {
+constexpr std::uint64_t kInitialState = 0x5eed5eed5eed5eedull;
+
+/// One record/replay run on the shared loop. The loop's committed
+/// rounds are the rounds verified by replay: `base_` is the verified
+/// round of the stable-storage checkpoint and `i_` counts the rounds
+/// verified since.
+class ReplayRun final : public RunLoop {
+ public:
+  ReplayRun(const ReplayConfig& config, vds::fault::FaultTimeline& timeline)
+      : RunLoop(config), config_(config), timeline_(timeline),
+        record_round_(config.alpha * config.t *
+                      (1.0 + config.record_overhead)) {}
+
+  /// Records the next window while the previous one replays on the
+  /// second context, then compares the replayed window.
+  void step();
+
+  /// Record and replay run the same code on the same broken unit, so a
+  /// permanent defect corrupts both digests identically: a completed
+  /// job that met one is silently wrong.
+  void check_completed_job() { rep_.silent_corruption = permanent_struck_; }
+
+  /// Folds the replay-only counts; the shared ones fold in RunLoop.
+  void fold_metrics() const;
+
+ private:
+  /// One detected failure. Two executions, no vote: restore both
+  /// contexts from the stable-storage checkpoint, or from the
+  /// replayer's verified in-memory state, and trip fail-safe after
+  /// repeated failures.
+  void recover(bool from_checkpoint);
+
+  const ReplayConfig& config_;
+  vds::fault::FaultTimeline& timeline_;
+  const double record_round_;
+  std::uint64_t primary_state_ = kInitialState;
+  std::uint64_t checkpoint_state_ = kInitialState;
+  RecordLog log_;
+  Replayer replayer_{kInitialState};
+  std::vector<RoundRecord> in_flight_;  // window replaying this step
+  std::uint64_t in_flight_corrupt_ = 0;
+  double pending_since_ = -1.0;  // earliest undetected fault
+  bool permanent_struck_ = false;
+  std::uint64_t windows_compared_ = 0;
+  std::uint64_t window_mismatches_ = 0;
+  std::uint64_t rounds_recorded_ = 0;
+};
+
+void ReplayRun::recover(bool from_checkpoint) {
+  ++rep_.detections;
+  if (pending_since_ >= 0.0) {
+    rep_.detection_latency.add(clock_ - pending_since_);
+  }
+  const double recovery_start = clock_;
+  std::uint64_t state = replayer_.state();
+  if (from_checkpoint) {
+    roll_back();
+    state = checkpoint_state_;
+  } else {
+    ++rep_.rollbacks;
+  }
+  primary_state_ = state;
+  replayer_.reset(state);
+  log_.rewind_to(base_ + i_);
+  in_flight_.clear();
+  in_flight_corrupt_ = 0;
+  pending_since_ = -1.0;
+  rep_.recovery_time.add(clock_ - recovery_start);
+  count_failure(config_.max_consecutive_failures);
+}
+
+void ReplayRun::step() {
+  const auto window = static_cast<std::uint64_t>(config_.window);
+  bool context_crash = false;
+  bool replayer_crashed = false;
+  bool processor_crash = false;
+  // A drained window (no recording left to overlap) replays alone on
+  // the core at full speed.
+  const bool tail = log_.next_index() >= config_.job_rounds;
+  const double step_round = tail ? config_.t : record_round_;
+  const std::uint64_t step_rounds =
+      tail ? static_cast<std::uint64_t>(in_flight_.size())
+           : std::min<std::uint64_t>(window,
+                                     config_.job_rounds - log_.next_index());
+
+  const auto note_pending = [this](double when) {
+    if (pending_since_ < 0.0 || when < pending_since_) pending_since_ = when;
+  };
+  for (std::uint64_t n = 0; n < step_rounds; ++n) {
+    const auto faults = timeline_.drain_window(clock_, clock_ + step_round);
+    clock_ += step_round;
+    std::uint64_t primary_corrupt = 0;
+    for (const Fault& fault : faults) {
+      ++rep_.faults_seen;
+      switch (fault.kind) {
+        case FaultKind::kTransient: {
+          ++rep_.transient_faults;
+          // During the tail drain only the replayer is executing, so
+          // every transient lands on it.
+          const bool hits_replayer = tail || fault.victim == Victim::kVersion2;
+          const std::uint64_t bits =
+              0x1ull << (fault.bit % 63u) | (std::uint64_t{fault.word} << 1);
+          if (hits_replayer) {
+            in_flight_corrupt_ ^= bits | 1u;
+          } else {
+            primary_corrupt ^= bits | 1u;
+          }
+          note_pending(fault.when);
+          break;
+        }
+        case FaultKind::kCrash:
+          ++rep_.crash_faults;
+          note_pending(fault.when);
+          context_crash = true;
+          replayer_crashed = tail || fault.victim == Victim::kVersion2;
+          break;
+        case FaultKind::kPermanent:
+          ++rep_.permanent_faults;
+          permanent_struck_ = true;
+          break;
+        case FaultKind::kProcessorCrash:
+          ++rep_.processor_crashes;
+          note_pending(fault.when);
+          processor_crash = true;
+          break;
+      }
+    }
+    if (!tail) {
+      const std::uint64_t index = log_.next_index();
+      const std::uint64_t input =
+          vds::replay::round_input(/*job_seed=*/1, index);
+      primary_state_ =
+          vds::replay::round_outcome(primary_state_, index, input) ^
+          primary_corrupt;
+      log_.append({index, input, primary_state_});
+      ++rounds_recorded_;
+    }
+    if (context_crash || processor_crash) break;
+  }
+
+  // A processor crash loses both contexts; only the stable-storage
+  // checkpoint survives. A single-context crash is detected at once: a
+  // primary crash leaves the replayer's verified state intact (cheap
+  // restore), a crash of the replayer itself loses it.
+  if (processor_crash || context_crash) {
+    recover(processor_crash || replayer_crashed);
+    return;
+  }
+
+  // --- compare the window whose replay just finished ----------------
+  if (!in_flight_.empty()) {
+    clock_ += config_.compare_time;
+    ++rep_.comparisons;
+    ++windows_compared_;
+    const WindowVerdict verdict =
+        replayer_.replay(in_flight_, in_flight_corrupt_);
+    in_flight_corrupt_ = 0;
+    if (!verdict.match) {
+      // Conservatively discard everything past the verified frontier
+      // and re-execute.
+      ++window_mismatches_;
+      recover(/*from_checkpoint=*/false);
+      return;
+    }
+    i_ += verdict.rounds;
+    consecutive_failures_ = 0;
+    pending_since_ = -1.0;
+    if (checkpoint_due()) {
+      commit_checkpoint();
+      checkpoint_state_ = replayer_.state();
+    }
+    in_flight_.clear();
+  }
+
+  // --- hand the freshly recorded window to the replayer -------------
+  in_flight_ = log_.take_window(static_cast<std::size_t>(window));
+}
+
+// Pure functions of (config, timeline), never of scheduling, so they
+// fold into deterministic global counters.
+void ReplayRun::fold_metrics() const {
   using metrics::Determinism;
   auto& reg = metrics::registry();
-  static auto& runs =
-      reg.counter("replay.runs", Determinism::kDeterministic);
-  static auto& completed =
-      reg.counter("replay.completed", Determinism::kDeterministic);
-  static auto& windows_compared =
+  static auto& windows =
       reg.counter("replay.windows_compared", Determinism::kDeterministic);
-  static auto& window_mismatches =
+  static auto& mismatches =
       reg.counter("replay.window_mismatches", Determinism::kDeterministic);
   static auto& recorded =
       reg.counter("replay.rounds_recorded", Determinism::kDeterministic);
-  static auto& verified =
-      reg.counter("replay.rounds_verified", Determinism::kDeterministic);
-  static auto& rollbacks =
-      reg.counter("replay.rollbacks", Determinism::kDeterministic);
-  static auto& silent =
-      reg.counter("replay.silent_corruptions", Determinism::kDeterministic);
-  runs.add();
-  completed.add(rep.completed ? 1 : 0);
-  windows_compared.add(windows);
-  window_mismatches.add(mismatches);
-  recorded.add(rounds_recorded);
-  verified.add(rep.rounds_committed);
-  rollbacks.add(rep.rollbacks);
-  silent.add(rep.silent_corruption ? 1 : 0);
+  windows.add(windows_compared_);
+  mismatches.add(window_mismatches_);
+  recorded.add(rounds_recorded_);
 }
 
 }  // namespace
@@ -91,196 +243,10 @@ ReplayVds::ReplayVds(ReplayConfig config, vds::sim::Rng rng)
 
 RunReport ReplayVds::run(vds::fault::FaultTimeline& timeline,
                          vds::sim::Trace* /*trace*/) {
-  RunReport rep;
-  const double record_round =
-      config_.alpha * config_.t * (1.0 + config_.record_overhead);
-  // A drained window (no recording left to overlap) replays alone on
-  // the core at full speed.
-  const double tail_replay_round = config_.t;
-  const std::uint64_t window =
-      static_cast<std::uint64_t>(config_.window);
-
-  double clock = 0.0;
-  std::uint64_t verified = 0;       // rounds verified by replay
-  std::uint64_t checkpoint_round = 0;
-  std::uint64_t primary_state = 0x5eed5eed5eed5eedull;
-  std::uint64_t checkpoint_state = primary_state;
-  RecordLog log;
-  Replayer replayer(primary_state);
-  std::vector<RoundRecord> in_flight;  // window replaying this step
-  std::uint64_t in_flight_corrupt = 0;
-  double pending_since = -1.0;  // earliest undetected fault
-  int consecutive_failures = 0;
-  bool permanent_struck = false;
-  std::uint64_t windows_compared = 0;
-  std::uint64_t window_mismatches = 0;
-  std::uint64_t rounds_recorded = 0;
-
-  const auto note_pending = [&](double when) {
-    if (pending_since < 0.0 || when < pending_since) pending_since = when;
-  };
-
-  // Restores both contexts and the log to `state` at `round`.
-  const auto restore = [&](std::uint64_t round, std::uint64_t state) {
-    verified = std::min(verified, round);
-    primary_state = state;
-    replayer.reset(state);
-    log.rewind_to(round);
-    in_flight.clear();
-    in_flight_corrupt = 0;
-    pending_since = -1.0;
-  };
-
-  // One detected failure: accounts the detection, restores, and trips
-  // fail-safe after repeated failures.
-  const auto recover = [&](std::uint64_t round, std::uint64_t state,
-                           double extra_latency) {
-    ++rep.detections;
-    ++rep.rollbacks;
-    if (pending_since >= 0.0) {
-      rep.detection_latency.add(clock - pending_since);
-    }
-    const double recovery_start = clock;
-    clock += extra_latency;
-    restore(round, state);
-    rep.recovery_time.add(clock - recovery_start);
-    if (++consecutive_failures >= config_.max_consecutive_failures) {
-      rep.failed_safe = true;
-    }
-  };
-
-  while (verified < config_.job_rounds && clock <= config_.max_time &&
-         !rep.failed_safe) {
-    // --- record the next window; the previous one replays
-    // concurrently on the second context -------------------------------
-    bool context_crash = false;
-    bool replayer_crashed = false;
-    bool processor_crash = false;
-    const bool tail = log.next_index() >= config_.job_rounds;
-    const std::uint64_t to_record =
-        tail ? 0
-             : std::min<std::uint64_t>(window,
-                                       config_.job_rounds - log.next_index());
-    const double step_round =
-        tail ? tail_replay_round : record_round;
-    const std::uint64_t step_rounds =
-        tail ? static_cast<std::uint64_t>(in_flight.size()) : to_record;
-
-    for (std::uint64_t n = 0; n < step_rounds; ++n) {
-      const auto faults = timeline.drain_window(clock, clock + step_round);
-      clock += step_round;
-      std::uint64_t primary_corrupt = 0;
-      for (const Fault& fault : faults) {
-        ++rep.faults_seen;
-        switch (fault.kind) {
-          case FaultKind::kTransient: {
-            ++rep.transient_faults;
-            // During the tail drain only the replayer is executing, so
-            // every transient lands on it.
-            const bool hits_replayer =
-                tail || fault.victim == Victim::kVersion2;
-            const std::uint64_t bits =
-                0x1ull << (fault.bit % 63u) | (std::uint64_t{fault.word} << 1);
-            if (hits_replayer) {
-              in_flight_corrupt ^= bits | 1u;
-            } else {
-              primary_corrupt ^= bits | 1u;
-            }
-            note_pending(fault.when);
-            break;
-          }
-          case FaultKind::kCrash:
-            ++rep.crash_faults;
-            note_pending(fault.when);
-            context_crash = true;
-            replayer_crashed = tail || fault.victim == Victim::kVersion2;
-            break;
-          case FaultKind::kPermanent:
-            // Record and replay run the same code on the same broken
-            // unit: both digests corrupt identically — silent.
-            ++rep.permanent_faults;
-            permanent_struck = true;
-            break;
-          case FaultKind::kProcessorCrash:
-            ++rep.processor_crashes;
-            note_pending(fault.when);
-            processor_crash = true;
-            break;
-        }
-      }
-      if (!tail) {
-        const std::uint64_t index = log.next_index();
-        const std::uint64_t input =
-            vds::replay::round_input(/*job_seed=*/1, index);
-        primary_state =
-            vds::replay::round_outcome(primary_state, index, input) ^
-            primary_corrupt;
-        log.append({index, input, primary_state});
-        ++rounds_recorded;
-      }
-      if (context_crash || processor_crash) break;
-    }
-
-    if (processor_crash) {
-      // Both contexts lost; only the stable-storage checkpoint survives.
-      recover(checkpoint_round, checkpoint_state,
-              config_.checkpoint_read_latency);
-      continue;
-    }
-    if (context_crash) {
-      // One context stopped: detected at once. A primary crash leaves
-      // the replayer's in-memory verified state intact (cheap restore);
-      // a crash of the replayer itself loses that state, so only the
-      // stable-storage checkpoint is trustworthy.
-      if (replayer_crashed) {
-        recover(checkpoint_round, checkpoint_state,
-                config_.checkpoint_read_latency);
-      } else {
-        recover(verified, replayer.state(), 0.0);
-      }
-      continue;
-    }
-
-    // --- compare the window whose replay just finished ----------------
-    if (!in_flight.empty()) {
-      clock += config_.compare_time;
-      ++rep.comparisons;
-      ++windows_compared;
-      const WindowVerdict verdict =
-          replayer.replay(in_flight, in_flight_corrupt);
-      in_flight_corrupt = 0;
-      if (verdict.match) {
-        verified += verdict.rounds;
-        consecutive_failures = 0;
-        pending_since = -1.0;
-        if (verified - checkpoint_round >=
-                static_cast<std::uint64_t>(config_.s) ||
-            verified >= config_.job_rounds) {
-          clock += config_.checkpoint_write_latency;
-          ++rep.checkpoints;
-          checkpoint_round = verified;
-          checkpoint_state = replayer.state();
-        }
-        in_flight.clear();
-      } else {
-        ++window_mismatches;
-        // Two executions, no vote: conservatively discard everything
-        // past the verified frontier and re-execute.
-        recover(verified, replayer.state(), 0.0);
-        continue;
-      }
-    }
-
-    // --- hand the freshly recorded window to the replayer -------------
-    in_flight = log.take_window(static_cast<std::size_t>(window));
-  }
-
-  rep.total_time = clock;
-  rep.rounds_committed = std::min(verified, config_.job_rounds);
-  rep.completed = rep.rounds_committed >= config_.job_rounds;
-  if (rep.completed && permanent_struck) rep.silent_corruption = true;
-  fold_replay_metrics(rep, windows_compared, window_mismatches,
-                      rounds_recorded);
+  ReplayRun replay(config_, timeline);
+  const RunReport rep = replay.run([&replay] { replay.step(); },
+                                   [&replay] { replay.check_completed_job(); });
+  replay.fold_metrics();
   return rep;
 }
 

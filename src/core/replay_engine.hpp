@@ -1,11 +1,9 @@
 #pragma once
 
-#include <cstdint>
-
 #include "core/engine.hpp"
+#include "core/options.hpp"
 #include "core/report.hpp"
 #include "fault/injector.hpp"
-#include "replay/replay_core.hpp"
 #include "sim/rng.hpp"
 #include "sim/trace.hpp"
 
@@ -28,8 +26,10 @@ namespace vds::core {
 /// permanent defect corrupts both executions identically and stays
 /// silent — the diversity gap this engine trades for its low fault-free
 /// overhead.
-struct ReplayConfig {
-  double t = 1.0;       ///< round of useful work (same unit as VDS)
+///
+/// The checkpoint cadence counts verified rounds: `s` is reached only
+/// at the end of a window that verified.
+struct ReplayConfig : RunConfig {
   double alpha = 0.65;  ///< SMT slowdown with both contexts busy
   /// Fractional slowdown of the primary from writing the record log.
   double record_overhead = 0.05;
@@ -37,13 +37,8 @@ struct ReplayConfig {
   /// dominant term of the detection latency.
   int window = 4;
   double compare_time = 0.1;  ///< digest comparison at a window boundary
-  int s = 20;                 ///< stable-storage checkpoint interval
-  std::uint64_t job_rounds = 1000;
-  double checkpoint_write_latency = 0.0;
-  double checkpoint_read_latency = 0.0;
   /// Consecutive failed windows before fail-safe shutdown.
   int max_consecutive_failures = 8;
-  double max_time = 1e12;
 
   void validate() const;
 };

@@ -21,7 +21,7 @@ RunReport SmtVds::run(vds::fault::FaultTimeline& timeline,
                       vds::sim::Trace* trace) {
   const auto policy = make_recovery_policy(options_, Platform::kSmt);
   SmtCore core(options_, rng_, *predictor_, timeline, trace, *policy);
-  return core.run();
+  return core.run([&core] { core.step_round(); });
 }
 
 }  // namespace vds::core

@@ -80,14 +80,24 @@ void Scenario::validate() const {
   }
 }
 
+namespace {
+
+// The run fields of every engine config, from one place.
+template <typename Config>
+Config with_run_fields(const Scenario& scenario) {
+  Config config;
+  config.s = scenario.s;
+  config.job_rounds = scenario.rounds;
+  return config;
+}
+
+}  // namespace
+
 core::VdsOptions Scenario::vds_options() const {
-  core::VdsOptions options;
-  options.t = 1.0;
+  auto options = with_run_fields<core::VdsOptions>(*this);
   options.c = beta;
   options.t_cmp = beta;
   options.alpha = alpha;
-  options.s = s;
-  options.job_rounds = rounds;
   options.scheme = scheme;
   options.adaptive_scheme = adaptive;
   options.hardware_threads = threads;
@@ -95,41 +105,33 @@ core::VdsOptions Scenario::vds_options() const {
 }
 
 baseline::SrtConfig Scenario::srt_config() const {
-  baseline::SrtConfig config;
+  auto config = with_run_fields<baseline::SrtConfig>(*this);
   config.alpha = alpha;
-  config.s = s;
-  config.job_rounds = rounds;
   config.compare_overhead = srt_compare_overhead;
   config.chunks_per_round = srt_chunks_per_round;
   return config;
 }
 
 baseline::DuplexConfig Scenario::duplex_config() const {
-  baseline::DuplexConfig config;
+  auto config = with_run_fields<baseline::DuplexConfig>(*this);
   config.t_cmp = beta;
-  config.s = s;
-  config.job_rounds = rounds;
   config.processors = duplex_processors;
   return config;
 }
 
 core::ReplayConfig Scenario::replay_config() const {
-  core::ReplayConfig config;
+  auto config = with_run_fields<core::ReplayConfig>(*this);
   config.alpha = alpha;
   config.compare_time = beta;
-  config.s = s;
-  config.job_rounds = rounds;
   config.window = replay_window;
   config.record_overhead = replay_record_overhead;
   return config;
 }
 
 core::DmeConfig Scenario::dme_config() const {
-  core::DmeConfig config;
+  auto config = with_run_fields<core::DmeConfig>(*this);
   config.alpha = alpha;
   config.t_cmp = beta;
-  config.s = s;
-  config.job_rounds = rounds;
   config.decorrelation = dme_decorrelation;
   config.common_mode = dme_common_mode;
   return config;

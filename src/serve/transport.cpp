@@ -42,6 +42,7 @@ void read_connection(Server& server, std::shared_ptr<FdSink> sink, int fd) {
             "request line exceeds " + std::to_string(kMaxLineBytes) +
                 " bytes"));
         break;
+      case LineReader::Status::kTimeout:  // next() has no deadline
       case LineReader::Status::kEof:
       case LineReader::Status::kDrain:
       case LineReader::Status::kError:
@@ -250,6 +251,7 @@ int serve_stdio(Server& server) {
         // Everything accepted gets answered before finish() returns.
         server.finish();
         return runtime::drain_requested() ? 130 : 0;
+      case LineReader::Status::kTimeout:  // next() has no deadline
       case LineReader::Status::kError:
         server.finish();
         return 3;

@@ -108,8 +108,11 @@ double incomplete_beta_cf(double a, double b, double x) noexcept {
 double incomplete_beta(double a, double b, double x) noexcept {
   if (x <= 0.0) return 0.0;
   if (x >= 1.0) return 1.0;
-  const double ln_front = std::lgamma(a + b) - std::lgamma(a) -
-                          std::lgamma(b) + a * std::log(x) +
+  // lgamma_r: std::lgamma writes the global signgam, a data race when
+  // campaign workers evaluate intervals concurrently.
+  int sign = 0;
+  const double ln_front = lgamma_r(a + b, &sign) - lgamma_r(a, &sign) -
+                          lgamma_r(b, &sign) + a * std::log(x) +
                           b * std::log1p(-x);
   const double front = std::exp(ln_front);
   if (x < (a + 1.0) / (a + b + 2.0)) {

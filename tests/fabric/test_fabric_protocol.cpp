@@ -12,6 +12,7 @@
 #include "runtime/mc_campaign.hpp"
 #include "scenario/campaign_spec.hpp"
 #include "scenario/json_reader.hpp"
+#include "expect_rejects.hpp"
 
 namespace vds::fabric {
 namespace {
@@ -25,10 +26,11 @@ TEST(FabricProtocol, Hex16RoundTrip) {
   EXPECT_EQ(hex16(0xdeadbeefcafef00dull), "deadbeefcafef00d");
   EXPECT_EQ(parse_hex64("deadbeefcafef00d"), 0xdeadbeefcafef00dull);
   EXPECT_EQ(parse_hex64("0"), 0u);
-  EXPECT_THROW(parse_hex64(""), std::invalid_argument);
-  EXPECT_THROW(parse_hex64("DEADBEEF"), std::invalid_argument);  // lowercase
-  EXPECT_THROW(parse_hex64("12345678901234567"), std::invalid_argument);
-  EXPECT_THROW(parse_hex64("xyz"), std::invalid_argument);
+  EXPECT_REJECTS(parse_hex64(""), std::invalid_argument);
+  EXPECT_REJECTS(parse_hex64("DEADBEEF"), std::invalid_argument);  // lowercase
+  EXPECT_REJECTS(parse_hex64("12345678901234567"),
+                 std::invalid_argument);
+  EXPECT_REJECTS(parse_hex64("xyz"), std::invalid_argument);
 }
 
 TEST(FabricProtocol, HelloRoundTrip) {
@@ -112,10 +114,11 @@ TEST(FabricProtocol, ResultRoundTripsBothStatuses) {
 
 TEST(FabricProtocol, DoneAndClassifyErrors) {
   EXPECT_EQ(classify(parse(format_done())), MessageKind::kDone);
-  EXPECT_THROW(classify(parse("{\"no_schema\":1}")), std::invalid_argument);
-  EXPECT_THROW(classify(parse("{\"schema\":\"vds.bogus.v1\"}")),
-               std::invalid_argument);
-  EXPECT_THROW(classify(parse("[1,2]")), std::invalid_argument);
+  EXPECT_REJECTS(classify(parse("{\"no_schema\":1}")),
+                 std::invalid_argument);
+  EXPECT_REJECTS(classify(parse("{\"schema\":\"vds.bogus.v1\"}")),
+                 std::invalid_argument);
+  EXPECT_REJECTS(classify(parse("[1,2]")), std::invalid_argument);
 }
 
 TEST(FabricProtocol, ConfigRoundTripPreservesFingerprint) {

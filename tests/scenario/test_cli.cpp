@@ -7,6 +7,7 @@
 
 #include "core/options.hpp"
 #include "scenario/engine_factory.hpp"
+#include "expect_rejects.hpp"
 
 namespace vds::scenario {
 namespace {
@@ -17,42 +18,42 @@ TEST(StrictParse, DoubleConsumesWholeToken) {
   EXPECT_DOUBLE_EQ(parse_double("--x", "0.25"), 0.25);
   EXPECT_DOUBLE_EQ(parse_double("--x", "-3"), -3.0);
   EXPECT_DOUBLE_EQ(parse_double("--x", "1e-3"), 1e-3);
-  EXPECT_THROW(parse_double("--x", ""), CliError);
-  EXPECT_THROW(parse_double("--x", "bogus"), CliError);
-  EXPECT_THROW(parse_double("--x", "1.5x"), CliError);
-  EXPECT_THROW(parse_double("--x", "nan"), CliError);
-  EXPECT_THROW(parse_double("--x", "inf"), CliError);
+  EXPECT_REJECTS(parse_double("--x", ""), CliError);
+  EXPECT_REJECTS(parse_double("--x", "bogus"), CliError);
+  EXPECT_REJECTS(parse_double("--x", "1.5x"), CliError);
+  EXPECT_REJECTS(parse_double("--x", "nan"), CliError);
+  EXPECT_REJECTS(parse_double("--x", "inf"), CliError);
 }
 
 TEST(StrictParse, U64RejectsSignsAndOverflow) {
   EXPECT_EQ(parse_u64("--x", "0"), 0u);
   EXPECT_EQ(parse_u64("--x", "18446744073709551615"),
             18446744073709551615ull);
-  EXPECT_THROW(parse_u64("--x", "-1"), CliError);
-  EXPECT_THROW(parse_u64("--x", "+1"), CliError);
-  EXPECT_THROW(parse_u64("--x", "1.5"), CliError);
-  EXPECT_THROW(parse_u64("--x", "18446744073709551616"), CliError);
-  EXPECT_THROW(parse_u64("--x", ""), CliError);
+  EXPECT_REJECTS(parse_u64("--x", "-1"), CliError);
+  EXPECT_REJECTS(parse_u64("--x", "+1"), CliError);
+  EXPECT_REJECTS(parse_u64("--x", "1.5"), CliError);
+  EXPECT_REJECTS(parse_u64("--x", "18446744073709551616"), CliError);
+  EXPECT_REJECTS(parse_u64("--x", ""), CliError);
 }
 
 TEST(StrictParse, IntRangeChecked) {
   EXPECT_EQ(parse_int("--x", "-42"), -42);
   EXPECT_EQ(parse_int("--x", "2147483647"), 2147483647);
-  EXPECT_THROW(parse_int("--x", "2147483648"), CliError);
-  EXPECT_THROW(parse_int("--x", "-2147483649"), CliError);
-  EXPECT_THROW(parse_int("--x", "12abc"), CliError);
+  EXPECT_REJECTS(parse_int("--x", "2147483648"), CliError);
+  EXPECT_REJECTS(parse_int("--x", "-2147483649"), CliError);
+  EXPECT_REJECTS(parse_int("--x", "12abc"), CliError);
 }
 
 TEST(StrictParse, UnsignedRangeChecked) {
   EXPECT_EQ(parse_unsigned("--x", "8"), 8u);
-  EXPECT_THROW(parse_unsigned("--x", "-8"), CliError);
-  EXPECT_THROW(parse_unsigned("--x", "4294967296"), CliError);
+  EXPECT_REJECTS(parse_unsigned("--x", "-8"), CliError);
+  EXPECT_REJECTS(parse_unsigned("--x", "4294967296"), CliError);
 }
 
 TEST(StrictParse, ErrorNamesTheFlag) {
   try {
-    parse_double("--alpha", "bogus");
-    FAIL() << "expected CliError";
+    const double parsed = parse_double("--alpha", "bogus");
+    FAIL() << "expected CliError, got " << parsed;
   } catch (const CliError& error) {
     const std::string what = error.what();
     EXPECT_NE(what.find("--alpha"), std::string::npos);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "expect_rejects.hpp"
+
 namespace vds::scenario {
 namespace {
 
@@ -39,18 +41,18 @@ TEST(JsonReader, U64FullPrecision) {
 }
 
 TEST(JsonReader, U64RejectsSignFractionExponentAndOverflow) {
-  EXPECT_THROW(parse_json("-1").as_u64("x"), JsonError);
-  EXPECT_THROW(parse_json("1.5").as_u64("x"), JsonError);
-  EXPECT_THROW(parse_json("1e3").as_u64("x"), JsonError);
-  EXPECT_THROW(parse_json("18446744073709551616").as_u64("x"), JsonError);
+  EXPECT_REJECTS(parse_json("-1").as_u64("x"), JsonError);
+  EXPECT_REJECTS(parse_json("1.5").as_u64("x"), JsonError);
+  EXPECT_REJECTS(parse_json("1e3").as_u64("x"), JsonError);
+  EXPECT_REJECTS(parse_json("18446744073709551616").as_u64("x"), JsonError);
   EXPECT_EQ(parse_json("0").as_u64("x"), 0u);
 }
 
 TEST(JsonReader, TypeMismatchesThrow) {
-  EXPECT_THROW(parse_json("3").as_string("x"), JsonError);
-  EXPECT_THROW(parse_json("\"3\"").as_double("x"), JsonError);
-  EXPECT_THROW(parse_json("true").as_int("x"), JsonError);
-  EXPECT_THROW(parse_json("[1]").as_bool("x"), JsonError);
+  EXPECT_REJECTS(parse_json("3").as_string("x"), JsonError);
+  EXPECT_REJECTS(parse_json("\"3\"").as_double("x"), JsonError);
+  EXPECT_REJECTS(parse_json("true").as_int("x"), JsonError);
+  EXPECT_REJECTS(parse_json("[1]").as_bool("x"), JsonError);
 }
 
 TEST(JsonReader, StringEscapes) {
@@ -79,8 +81,8 @@ TEST(JsonReader, RejectsDuplicateKeys) {
 
 TEST(JsonReader, ErrorCarriesOffset) {
   try {
-    parse_json("{\"a\": bogus}");
-    FAIL() << "expected JsonError";
+    const JsonValue doc = parse_json("{\"a\": bogus}");
+    FAIL() << "expected JsonError, got " << ::testing::PrintToString(doc);
   } catch (const JsonError& error) {
     EXPECT_GT(error.offset(), 0u);
     EXPECT_NE(std::string(error.what()).find("byte"), std::string::npos);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/options.hpp"
+#include "expect_rejects.hpp"
 #include "scenario/json_reader.hpp"
 
 namespace vds::scenario {
@@ -16,9 +17,9 @@ TEST(EngineKindNames, ExhaustiveRoundTrip) {
     EXPECT_EQ(parse_engine_kind(to_string(kind)), kind)
         << to_string(kind);
   }
-  EXPECT_THROW(parse_engine_kind("bogus"), std::invalid_argument);
-  EXPECT_THROW(parse_engine_kind(""), std::invalid_argument);
-  EXPECT_THROW(parse_engine_kind("SMT"), std::invalid_argument);
+  EXPECT_REJECTS(parse_engine_kind("bogus"), std::invalid_argument);
+  EXPECT_REJECTS(parse_engine_kind(""), std::invalid_argument);
+  EXPECT_REJECTS(parse_engine_kind("SMT"), std::invalid_argument);
 }
 
 TEST(EngineKindNames, ListIsGeneratedFromTheRegistry) {

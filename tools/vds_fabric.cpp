@@ -1,7 +1,7 @@
 // vds_fabric -- fault-tolerant distributed campaign fabric.
 //
 //   # coordinator: shard a campaign into cell-range leases
-//   vds_fabric --coordinate --socket /tmp/fabric.sock --workdir /tmp/fab \
+//   vds_fabric --coordinate --socket /tmp/fabric.sock --workdir /tmp/fab
 //              --replicas 2000 --scheme det --lease-cells 500
 //
 //   # workers (any number, any time): dial in and execute leases
