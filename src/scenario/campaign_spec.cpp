@@ -99,73 +99,201 @@ runtime::McRunner make_mc_runner(Scenario scenario) {
 
 namespace {
 
-[[noreturn]] void spec_fail(const std::string& what) {
-  throw std::invalid_argument("campaign: " + what);
+std::vector<std::string> split_csv(std::string_view text) {
+  std::vector<std::string> parts;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t comma = text.find(',', start);
+    parts.emplace_back(text.substr(start, comma - start));
+    if (comma == std::string_view::npos) return parts;
+    start = comma + 1;
+  }
 }
+
+const std::vector<JsonValue>& non_empty_array(const JsonValue& value,
+                                              const Site& site) {
+  if (value.kind != JsonValue::Kind::kArray || value.items.empty()) {
+    reject(site, value.text, "a non-empty array");
+  }
+  return value.items;
+}
+
+void add_round(CampaignSpec& spec, std::uint64_t round,
+               std::string_view text, const Site& site) {
+  if (round == 0) reject(site, text, "a positive round number");
+  spec.grid.push_back(round);
+}
+
+void parse_grid(CampaignSpec& spec, std::string_view text,
+                const Site& site) {
+  spec.grid.clear();
+  for (const std::string& part : split_csv(text)) {
+    add_round(spec, parse_u64(site.name, part), part, site);
+  }
+}
+
+void read_grid(CampaignSpec& spec, const JsonValue& value,
+               const Site& site) {
+  spec.grid.clear();
+  for (const JsonValue& item : non_empty_array(value, site)) {
+    add_round(spec, item.as_u64(site.name), item.text, site);
+  }
+}
+
+std::string show_grid(const CampaignSpec& spec) {
+  std::string out;
+  for (const std::uint64_t round : spec.grid) {
+    if (!out.empty()) out += ',';
+    out += std::to_string(round);
+  }
+  return out;
+}
+
+void add_kind(CampaignSpec& spec, std::string_view name, const Site& site) {
+  try {
+    spec.kinds.push_back(parse_fault_kind(name));
+  } catch (const std::invalid_argument&) {
+    reject(site, name, "transient, crash, permanent or processor_crash");
+  }
+}
+
+void parse_kinds(CampaignSpec& spec, std::string_view text,
+                 const Site& site) {
+  spec.kinds.clear();
+  for (const std::string& part : split_csv(text)) add_kind(spec, part, site);
+}
+
+void read_kinds(CampaignSpec& spec, const JsonValue& value,
+                const Site& site) {
+  spec.kinds.clear();
+  for (const JsonValue& item : non_empty_array(value, site)) {
+    add_kind(spec, item.as_string(site.name), site);
+  }
+}
+
+std::string show_kinds(const CampaignSpec& spec) {
+  std::string out;
+  for (const vds::fault::FaultKind kind : spec.kinds) {
+    if (!out.empty()) out += ',';
+    out += vds::fault::to_string(kind);
+  }
+  return out.empty() ? "all four" : out;
+}
+
+void parse_fixed_offset(CampaignSpec& spec, std::string_view text,
+                        const Site& site) {
+  spec.jitter = false;
+  spec.fixed_offset = parse_double(site.name, text);
+}
+
+void read_fixed_offset(CampaignSpec& spec, const JsonValue& value,
+                       const Site& site) {
+  spec.jitter = false;
+  spec.fixed_offset = value.as_double(site.name);
+}
+
+void parse_journal_format(CampaignSpec& spec, std::string_view text,
+                          const Site& site) {
+  if (text == "v2") {
+    spec.journal_format = runtime::JournalFormat::kV2Text;
+  } else if (text == "v3") {
+    spec.journal_format = runtime::JournalFormat::kV3Binary;
+  } else {
+    reject(site, text, "v2 or v3");
+  }
+}
+
+std::string show_journal_format(const CampaignSpec& spec) {
+  return spec.journal_format == runtime::JournalFormat::kV2Text ? "v2"
+                                                                : "v3";
+}
+
+void parse_cell_range(CampaignSpec& spec, std::string_view text,
+                      const Site& site) {
+  const std::size_t colon = text.find(':');
+  if (colon == std::string_view::npos) {
+    reject(site, text, "LO:HI (a half-open cell range)");
+  }
+  spec.cell_lo = parse_u64(site.name, text.substr(0, colon));
+  spec.cell_hi = parse_u64(site.name, text.substr(colon + 1));
+  if (spec.cell_lo >= spec.cell_hi) reject(site, text, "LO < HI");
+}
+
+constexpr Range kReplicaCount{"a replica count >= 1", 1};
+
+using CS = CampaignSpec;
+
+const Field<CampaignSpec> kCampaignFields[] = {
+    {"--replicas", "N", "Monte Carlo replicas per grid cell", &CS::replicas,
+     "replicas", "", kReplicaCount},
+    {"--grid", "r1,r2,...", "detection rounds to inject at",
+     Codec<CS>{parse_grid, read_grid, show_grid}, "rounds"},
+    {"--kinds", "k1,k2,...",
+     "fault kinds: transient, crash, permanent,\nprocessor_crash",
+     Codec<CS>{parse_kinds, read_kinds, show_kinds}, "kinds"},
+    {"", "", "", &CS::jitter, "jitter_offset"},
+    {"--fixed-offset", "X",
+     "disable fault-position jitter; inject at\nfractional offset X "
+     "within the round",
+     Codec<CS>{parse_fixed_offset, read_fixed_offset}, "fixed_offset"},
+    {"--seed", "N", "campaign RNG seed", &CS::seed, "seed"},
+    {"--threads", "N", "worker threads (0 = hardware)", &CS::threads},
+    {"--journal", "PATH",
+     "append-only progress journal (CRC32C per\nrecord; v1/v2 text and v3 "
+     "binary journals\nall resume)",
+     &CS::journal},
+    {"--journal-format", "v2|v3",
+     "encoding of a new journal: v3 binary or\nv2 text; resuming keeps "
+     "the file's own",
+     Codec<CS>{parse_journal_format, nullptr, show_journal_format}},
+    {"--resume", "",
+     "skip cells already in the journal; corrupt\nor torn records are "
+     "counted and re-executed",
+     &CS::resume},
+    {"--cell-range", "LO:HI",
+     "dispatch only cells in [LO, HI): one shard;\nmerge the shard "
+     "journals with vds_journal,\nthen resume the merged journal",
+     Codec<CS>{parse_cell_range}},
+    {"--cell-timeout", "SECONDS",
+     "per-cell watchdog; a hung cell is retried,\nthen quarantined "
+     "(0 = off)",
+     &CS::cell_timeout, "cell_timeout", "", {"a number >= 0", 0}},
+    {"--max-retries", "N", "retries before quarantine", &CS::max_retries,
+     "max_retries"},
+    {"--chaos", "SPEC",
+     "arm deterministic harness fault points,\nSPEC = site=prob[:limit],... "
+     "(sites:\ncell.hang cell.fail journal.corrupt\njournal.torn "
+     "pool.delay); also read\nfrom $VDS_CHAOS",
+     &CS::chaos},
+    {"--target-ci", "X",
+     "adaptive sampling: stop each (kind, round)\nstratum once the "
+     "relative 95% Student-t CI\nhalf-width of its statistics reaches X\n"
+     "(0 = fixed grid)",
+     &CS::target_ci, "target_ci", "", {"a relative half-width >= 0", 0}},
+    {"--min-replicas", "N", "never stop a stratum earlier",
+     &CS::min_replicas, "min_replicas", "", kReplicaCount},
+    {"--max-replicas", "N",
+     "per-stratum replica cap; needs a CI target\n(default: the replica "
+     "count)",
+     &CS::max_replicas, "max_replicas", "", kReplicaCount},
+    {"--batch", "N", "replicas per dispatch wave", &CS::batch, "batch", "",
+     {"a wave size >= 1", 1}},
+};
 
 }  // namespace
 
+std::span<const Field<CampaignSpec>> campaign_fields() {
+  return kCampaignFields;
+}
+
 CampaignSpec campaign_spec_from_json(const JsonValue& doc) {
-  if (!doc.is_object()) spec_fail("must be a JSON object");
+  // threads/journal/chaos have no JSON key: the server owns execution
+  // policy, so a request cannot reach them.
   CampaignSpec spec;
-  for (const auto& [key, value] : doc.members) {
-    if (key == "replicas") {
-      spec.replicas = value.as_u64(key);
-      if (spec.replicas == 0) spec_fail("replicas must be >= 1");
-    } else if (key == "rounds") {
-      if (value.kind != JsonValue::Kind::kArray) {
-        spec_fail("rounds must be an array of round numbers");
-      }
-      spec.grid.clear();
-      for (const JsonValue& item : value.items) {
-        const std::uint64_t round = item.as_u64(key);
-        if (round == 0) spec_fail("rounds must be positive");
-        spec.grid.push_back(round);
-      }
-      if (spec.grid.empty()) spec_fail("rounds must not be empty");
-    } else if (key == "kinds") {
-      if (value.kind != JsonValue::Kind::kArray) {
-        spec_fail("kinds must be an array of fault-kind names");
-      }
-      spec.kinds.clear();
-      for (const JsonValue& item : value.items) {
-        spec.kinds.push_back(parse_fault_kind(item.as_string(key)));
-      }
-      if (spec.kinds.empty()) spec_fail("kinds must not be empty");
-    } else if (key == "jitter_offset") {
-      spec.jitter = value.as_bool(key);
-    } else if (key == "fixed_offset") {
-      spec.jitter = false;
-      spec.fixed_offset = value.as_double(key);
-    } else if (key == "seed") {
-      spec.seed = value.as_u64(key);
-    } else if (key == "cell_timeout") {
-      spec.cell_timeout = value.as_double(key);
-      if (spec.cell_timeout < 0.0) spec_fail("cell_timeout must be >= 0");
-    } else if (key == "max_retries") {
-      const std::uint64_t wide = value.as_u64(key);
-      if (wide > 0xFFFFFFFFull) spec_fail("max_retries out of range");
-      spec.max_retries = static_cast<unsigned>(wide);
-    } else if (key == "target_ci") {
-      spec.target_ci = value.as_double(key);
-      if (spec.target_ci < 0.0) spec_fail("target_ci must be >= 0");
-    } else if (key == "min_replicas") {
-      spec.min_replicas = value.as_u64(key);
-      if (spec.min_replicas == 0) spec_fail("min_replicas must be >= 1");
-    } else if (key == "max_replicas") {
-      spec.max_replicas = value.as_u64(key);
-      if (spec.max_replicas == 0) spec_fail("max_replicas must be >= 1");
-    } else if (key == "batch") {
-      spec.batch = value.as_u64(key);
-      if (spec.batch == 0) spec_fail("batch must be >= 1");
-    } else {
-      // threads/journal/chaos are deliberately not reachable from a
-      // request: the server owns execution policy.
-      spec_fail("unknown key '" + key + "'");
-    }
-  }
+  read_fields(doc, campaign_fields(), spec, "campaign");
   if (spec.max_replicas > 0 && spec.target_ci == 0.0) {
-    spec_fail("max_replicas requires target_ci > 0");
+    throw std::invalid_argument(
+        "campaign: max_replicas requires target_ci > 0");
   }
   return spec;
 }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -47,6 +48,8 @@ struct CampaignSpec {
   std::uint64_t min_replicas = 8;
   std::uint64_t max_replicas = 0;
   std::uint64_t batch = 32;
+
+  [[nodiscard]] bool operator==(const CampaignSpec&) const = default;
 };
 
 /// Canonical fault-kind names ("transient", "crash", "permanent",
@@ -72,6 +75,11 @@ struct CampaignSpec {
 /// `scenario` by value so the runner outlives the caller's frame;
 /// vds_serve keeps it queued long after the request parser returned.
 [[nodiscard]] runtime::McRunner make_mc_runner(Scenario scenario);
+
+/// Every CampaignSpec field: the flags vds_mc and vds_fabric share,
+/// and the keys of the serve/fabric campaign object (execution knobs
+/// — threads, journal, chaos, resume, cell range — have no key).
+[[nodiscard]] std::span<const Field<CampaignSpec>> campaign_fields();
 
 /// Strict parse of a campaign object (the "campaign" member of a
 /// vds.serve request envelope). Accepted keys mirror the mc_summary

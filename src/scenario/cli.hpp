@@ -1,91 +1,80 @@
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
+#include <functional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
-#include "scenario/scenario.hpp"
+#include "scenario/fields.hpp"
 
 namespace vds::scenario {
 
-/// A user error on the command line (unknown flag, malformed or
-/// out-of-range value, missing file). Tools catch this at top level,
-/// print the message to stderr and exit non-zero.
-class CliError : public std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
-/// Throws the canonical strict-parse CliError, always naming both the
-/// flag and the offending value:
-///   FLAG: expected WANTED, got 'VALUE'
-/// Every tool's value diagnostics go through this one formatter so the
-/// message shape is uniform (and testable) across vds_cli / vds_mc /
-/// vds_sweep / vds_serve.
-[[noreturn]] void bad_value(std::string_view flag, std::string_view text,
-                            std::string_view wanted);
-
-// --- strict numeric parsing -------------------------------------------
-// Each parser consumes the ENTIRE token and range-checks the result;
-// "bogus", "1.5x", "" or an out-of-range value throw CliError naming
-// the flag AND the value (via bad_value above). (The atof/atoi they
-// replace silently produced 0.)
-
-[[nodiscard]] double parse_double(std::string_view flag,
-                                  std::string_view text);
-[[nodiscard]] std::uint64_t parse_u64(std::string_view flag,
-                                      std::string_view text);
-[[nodiscard]] int parse_int(std::string_view flag, std::string_view text);
-[[nodiscard]] unsigned parse_unsigned(std::string_view flag,
-                                      std::string_view text);
-
-/// Cursor over argv. `next()` yields the current token; the `value*`
-/// helpers fetch a flag's argument (throwing CliError when argv is
-/// exhausted) and parse it strictly.
-class ArgCursor {
+/// One tool's command line, composed from field tables: the shared
+/// tables the tool needs (the Scenario's engine-under-test and
+/// single-run flags, the campaign, observability) plus one local
+/// table. Parsing, --help and the flag-collision check all walk the
+/// same descriptors, so a flag cannot be accepted without being
+/// documented, or documented twice with two meanings.
+class CommandLine {
  public:
-  ArgCursor(int argc, char** argv) : argc_(argc), argv_(argv) {}
+  /// `head` opens the --help text (synopsis and prose), `tail` closes
+  /// it (notes, exit codes). The flag lists come from the tables.
+  CommandLine(std::string_view head, std::string_view tail)
+      : head_(head), tail_(tail) {}
 
-  [[nodiscard]] bool done() const noexcept { return k_ >= argc_; }
+  /// Adds every field of `fields` that has a flag in flag group
+  /// `group`, bound to `config`, under the --help heading `title`. The
+  /// tables and `config` must outlive this object. Throws
+  /// std::logic_error when an earlier table already claimed a flag.
+  template <typename Fields, typename C>
+  CommandLine& add(std::string_view title, const Fields& fields, C& config,
+                   std::uint8_t group = 0) {
+    titles_.push_back(title);
+    for (const Field<C>& field : fields) {
+      if (field.flag.empty() || field.group != group) continue;
+      claim(field.flag);
+      flags_.push_back(
+          {field.flag, field.meta, field.help, titles_.size() - 1,
+           [&field, &config](std::string_view text) {
+             set_from_text(field, config, text);
+           },
+           [&field, &config] { return show_value(field, config); }});
+    }
+    return *this;
+  }
 
-  /// The next raw token; precondition: !done().
-  [[nodiscard]] std::string_view next() { return argv_[k_++]; }
+  /// Parses argv[1..]. Returns false when --help printed the usage.
+  /// A token that is no flag goes to `operands` when given (a lone "-"
+  /// is an operand too); otherwise it is an unknown-option CliError.
+  [[nodiscard]] bool parse(int argc, char** argv,
+                           std::vector<std::string>* operands = nullptr);
 
-  /// The value following `flag`; throws CliError when missing.
-  [[nodiscard]] std::string_view value(std::string_view flag);
+  /// Whether parse() met `flag`.
+  [[nodiscard]] bool seen(std::string_view flag) const;
 
-  [[nodiscard]] double value_double(std::string_view flag) {
-    return parse_double(flag, value(flag));
-  }
-  [[nodiscard]] std::uint64_t value_u64(std::string_view flag) {
-    return parse_u64(flag, value(flag));
-  }
-  [[nodiscard]] int value_int(std::string_view flag) {
-    return parse_int(flag, value(flag));
-  }
-  [[nodiscard]] unsigned value_unsigned(std::string_view flag) {
-    return parse_unsigned(flag, value(flag));
-  }
+  /// The full --help text, flag defaults read from the live configs.
+  [[nodiscard]] std::string usage() const;
 
  private:
-  int argc_;
-  char** argv_;
-  int k_ = 1;
+  struct Flag {
+    std::string_view name;
+    std::string_view meta;
+    std::string_view help;
+    std::size_t title;
+    std::function<void(std::string_view)> set;
+    std::function<std::string()> show;
+    bool seen = false;
+  };
+
+  void claim(std::string_view flag) const;
+
+  std::string_view head_;
+  std::string_view tail_;
+  std::vector<std::string_view> titles_;
+  std::vector<Flag> flags_;
 };
-
-/// Routes one scenario flag (engine selection, recovery, job, fault
-/// process, `--scenario FILE` loading) into `scenario`. Returns false
-/// when `arg` is not a scenario flag — the tool then tries its own
-/// flags or reports an unknown option. Throws CliError on a malformed
-/// value. This is THE shared argument parser: vds_cli, vds_mc and
-/// vds_sweep all resolve engine configuration through it.
-[[nodiscard]] bool apply_scenario_flag(Scenario& scenario,
-                                       std::string_view arg,
-                                       ArgCursor& args);
-
-/// Usage text for the flags apply_scenario_flag understands, for
-/// embedding in each tool's --help output.
-[[nodiscard]] std::string_view scenario_usage() noexcept;
 
 /// Where a run's observability output goes — the shared `--metrics
 /// FILE` / `--trace FILE` flags. Both default off; either one arms
@@ -109,30 +98,7 @@ struct Observability {
   void write() const;
 };
 
-/// Routes `--metrics FILE` / `--trace FILE` into `obs`; false when
-/// `arg` is neither flag.
-[[nodiscard]] bool apply_observability_flag(Observability& obs,
-                                            std::string_view arg,
-                                            ArgCursor& args);
-
-/// Usage text for the observability flags.
-[[nodiscard]] std::string_view observability_usage() noexcept;
-
-struct CampaignSpec;
-
-/// Routes one campaign flag (grid shape, seed, journal, sharding,
-/// robustness and adaptive-sampling knobs) into `spec`. Returns false
-/// when `arg` is not a campaign flag. The shared parser behind vds_mc
-/// and vds_fabric, so a fabric coordinator accepts exactly the
-/// campaign grammar the one-shot tool does — flag-for-flag.
-[[nodiscard]] bool apply_campaign_flag(CampaignSpec& spec,
-                                       std::string_view arg,
-                                       ArgCursor& args);
-
-/// Usage text for the flags apply_campaign_flag understands.
-[[nodiscard]] std::string_view campaign_usage() noexcept;
-
-/// Reads an entire file (CliError on failure) — for `--scenario FILE`.
-[[nodiscard]] std::string read_file(const std::string& path);
+/// The observability flag table.
+[[nodiscard]] std::span<const Field<Observability>> observability_fields();
 
 }  // namespace vds::scenario

@@ -1,12 +1,11 @@
 #include "scenario/scenario.hpp"
 
-#include <climits>
 #include <iterator>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
-#include "runtime/journal.hpp"
+#include "runtime/json_writer.hpp"
 #include "scenario/engine_factory.hpp"
 #include "scenario/json_reader.hpp"
 
@@ -155,47 +154,7 @@ void Scenario::to_json(std::ostream& os) const {
 }
 
 void Scenario::write_json(runtime::JsonWriter& json) const {
-  json.begin_object();
-  json.field("schema", "vds.scenario.v1");
-  json.field("engine", to_string(engine));
-  json.field("scheme", core::short_name(scheme));
-  json.field("predictor", predictor);
-  json.field("adaptive", adaptive);
-  json.field("alpha", alpha);
-  json.field("beta", beta);
-  json.field("s", s);
-  json.field("rounds", rounds);
-  json.field("threads", threads);
-  json.field("seed", seed);
-  json.key("fault");
-  json.begin_object();
-  json.field("rate", rate);
-  json.field("crash_weight", crash_weight);
-  json.field("permanent_weight", permanent_weight);
-  json.field("bias", bias);
-  json.field("locations", static_cast<std::uint64_t>(locations));
-  json.field("skew", skew);
-  json.end_object();
-  json.key("srt");
-  json.begin_object();
-  json.field("compare_overhead", srt_compare_overhead);
-  json.field("chunks_per_round", srt_chunks_per_round);
-  json.end_object();
-  json.key("duplex");
-  json.begin_object();
-  json.field("processors", duplex_processors);
-  json.end_object();
-  json.key("replay");
-  json.begin_object();
-  json.field("window", replay_window);
-  json.field("record_overhead", replay_record_overhead);
-  json.end_object();
-  json.key("dme");
-  json.begin_object();
-  json.field("decorrelation", dme_decorrelation);
-  json.field("common_mode", dme_common_mode);
-  json.end_object();
-  json.end_object();
+  write_fields(json, scenario_fields(), *this);
 }
 
 std::string Scenario::to_json_string() const {
@@ -204,192 +163,134 @@ std::string Scenario::to_json_string() const {
   return os.str();
 }
 
-namespace {
-
-[[noreturn]] void from_json_fail(const std::string& what) {
-  throw std::invalid_argument("Scenario: " + what);
-}
-
-int checked_int(const JsonValue& value, std::string_view key) {
-  const std::int64_t wide = value.as_int(key);
-  if (wide < INT_MIN || wide > INT_MAX) {
-    from_json_fail(std::string(key) + " out of int range");
-  }
-  return static_cast<int>(wide);
-}
-
-/// Walks `object` strictly: every member must be consumed by one of
-/// the handlers in `apply`; anything else is an unknown key.
-template <typename Apply>
-void for_each_member_strict(const JsonValue& object,
-                            std::string_view where, Apply&& apply) {
-  if (!object.is_object()) {
-    from_json_fail(std::string(where) + " must be a JSON object");
-  }
-  for (const auto& [key, value] : object.members) {
-    if (!apply(key, value)) {
-      from_json_fail("unknown key '" + key + "' in " + std::string(where));
-    }
-  }
-}
-
-}  // namespace
-
 Scenario Scenario::from_json(std::string_view text) {
   return from_json_value(parse_json(text));
 }
 
 Scenario Scenario::from_json_value(const JsonValue& doc) {
-  if (!doc.is_object()) from_json_fail("document must be a JSON object");
-  const JsonValue* schema = doc.find("schema");
-  if (schema == nullptr ||
-      schema->as_string("schema") != "vds.scenario.v1") {
-    from_json_fail("missing or unsupported schema (want vds.scenario.v1)");
+  if (doc.find("schema") == nullptr) {
+    throw std::invalid_argument(
+        "Scenario: missing schema (want vds.scenario.v1)");
   }
-
   Scenario scenario;
-  for_each_member_strict(doc, "scenario", [&](const std::string& key,
-                                              const JsonValue& value) {
-    if (key == "schema") return true;  // checked above
-    if (key == "engine") {
-      scenario.engine = parse_engine_kind(value.as_string(key));
-      return true;
-    }
-    if (key == "scheme") {
-      const auto parsed =
-          core::parse_recovery_scheme(value.as_string(key));
-      if (!parsed) {
-        from_json_fail("unknown scheme '" + value.as_string(key) + "'");
-      }
-      scenario.scheme = *parsed;
-      return true;
-    }
-    if (key == "predictor") {
-      scenario.predictor = value.as_string(key);
-      return true;
-    }
-    if (key == "adaptive") {
-      scenario.adaptive = value.as_bool(key);
-      return true;
-    }
-    if (key == "alpha") {
-      scenario.alpha = value.as_double(key);
-      return true;
-    }
-    if (key == "beta") {
-      scenario.beta = value.as_double(key);
-      return true;
-    }
-    if (key == "s") {
-      scenario.s = checked_int(value, key);
-      return true;
-    }
-    if (key == "rounds") {
-      scenario.rounds = value.as_u64(key);
-      return true;
-    }
-    if (key == "threads") {
-      scenario.threads = checked_int(value, key);
-      return true;
-    }
-    if (key == "seed") {
-      scenario.seed = value.as_u64(key);
-      return true;
-    }
-    if (key == "fault") {
-      for_each_member_strict(
-          value, "fault", [&](const std::string& fkey,
-                              const JsonValue& fvalue) {
-            if (fkey == "rate") {
-              scenario.rate = fvalue.as_double(fkey);
-            } else if (fkey == "crash_weight") {
-              scenario.crash_weight = fvalue.as_double(fkey);
-            } else if (fkey == "permanent_weight") {
-              scenario.permanent_weight = fvalue.as_double(fkey);
-            } else if (fkey == "bias") {
-              scenario.bias = fvalue.as_double(fkey);
-            } else if (fkey == "locations") {
-              const std::uint64_t wide = fvalue.as_u64(fkey);
-              if (wide > 0xFFFFFFFFull) {
-                from_json_fail("locations out of u32 range");
-              }
-              scenario.locations = static_cast<std::uint32_t>(wide);
-            } else if (fkey == "skew") {
-              scenario.skew = fvalue.as_double(fkey);
-            } else {
-              return false;
-            }
-            return true;
-          });
-      return true;
-    }
-    if (key == "srt") {
-      for_each_member_strict(
-          value, "srt", [&](const std::string& skey,
-                            const JsonValue& svalue) {
-            if (skey == "compare_overhead") {
-              scenario.srt_compare_overhead = svalue.as_double(skey);
-            } else if (skey == "chunks_per_round") {
-              scenario.srt_chunks_per_round = checked_int(svalue, skey);
-            } else {
-              return false;
-            }
-            return true;
-          });
-      return true;
-    }
-    if (key == "duplex") {
-      for_each_member_strict(
-          value, "duplex", [&](const std::string& dkey,
-                               const JsonValue& dvalue) {
-            if (dkey == "processors") {
-              scenario.duplex_processors = checked_int(dvalue, dkey);
-            } else {
-              return false;
-            }
-            return true;
-          });
-      return true;
-    }
-    if (key == "replay") {
-      for_each_member_strict(
-          value, "replay", [&](const std::string& rkey,
-                               const JsonValue& rvalue) {
-            if (rkey == "window") {
-              scenario.replay_window = checked_int(rvalue, rkey);
-            } else if (rkey == "record_overhead") {
-              scenario.replay_record_overhead = rvalue.as_double(rkey);
-            } else {
-              return false;
-            }
-            return true;
-          });
-      return true;
-    }
-    if (key == "dme") {
-      for_each_member_strict(
-          value, "dme", [&](const std::string& mkey,
-                            const JsonValue& mvalue) {
-            if (mkey == "decorrelation") {
-              scenario.dme_decorrelation = mvalue.as_double(mkey);
-            } else if (mkey == "common_mode") {
-              scenario.dme_common_mode = mvalue.as_double(mkey);
-            } else {
-              return false;
-            }
-            return true;
-          });
-      return true;
-    }
-    return false;
-  });
-
+  read_fields(doc, scenario_fields(), scenario, "Scenario");
   scenario.validate();
   return scenario;
 }
 
-std::uint64_t Scenario::fingerprint() const {
-  return runtime::fnv1a(to_json_string());
+namespace {
+
+constexpr std::string_view kSchema = "vds.scenario.v1";
+
+void parse_schema(Scenario&, std::string_view text, const Site& site) {
+  if (text != kSchema) reject(site, text, kSchema);
+}
+
+std::string show_schema(const Scenario&) { return std::string(kSchema); }
+
+void load_scenario(Scenario& scenario, std::string_view text, const Site&) {
+  const std::string path(text);
+  try {
+    scenario = Scenario::from_json(read_file(path));
+  } catch (const std::exception& error) {
+    throw CliError(path + ": " + error.what());
+  }
+}
+
+void parse_engine(Scenario& scenario, std::string_view text,
+                  const Site& site) {
+  try {
+    scenario.engine = parse_engine_kind(text);
+  } catch (const std::invalid_argument&) {
+    reject(site, text, engine_kind_list());
+  }
+}
+
+std::string show_engine(const Scenario& scenario) {
+  return std::string(to_string(scenario.engine));
+}
+
+void parse_scheme(Scenario& scenario, std::string_view text,
+                  const Site& site) {
+  const auto parsed = core::parse_recovery_scheme(text);
+  if (!parsed) reject(site, text, "rollback, retry, det, prob or predict");
+  scenario.scheme = *parsed;
+}
+
+std::string show_scheme(const Scenario& scenario) {
+  return std::string(core::short_name(scenario.scheme));
+}
+
+void parse_predictor(Scenario& scenario, std::string_view text,
+                     const Site& site) {
+  if (!known_predictor(text)) {
+    reject(site, text, "a registered predictor name");
+  }
+  scenario.predictor = std::string(text);
+}
+
+std::string show_predictor(const Scenario& scenario) {
+  return scenario.predictor;
+}
+
+using S = Scenario;
+
+const Field<Scenario> kScenarioFields[] = {
+    {"", "", "", Codec<S>{parse_schema, nullptr, show_schema}, "schema"},
+    {"--scenario", "FILE",
+     "load a vds.scenario.v1 JSON file\n(later flags override its fields)",
+     Codec<S>{load_scenario}},
+    {"--engine", "KIND",
+     "protocol engine: smt, conv, srt, duplex,\nreplay or dme",
+     Codec<S>{parse_engine, nullptr, show_engine}, "engine"},
+    {"--scheme", "NAME",
+     "recovery scheme: rollback, retry, det,\nprob or predict",
+     Codec<S>{parse_scheme, nullptr, show_scheme}, "scheme"},
+    {"--predictor", "NAME",
+     "faulty-version predictor: random, oracle,\nstatic1, static2, last, "
+     "two_bit, history,\ntournament, perceptron or crash",
+     Codec<S>{parse_predictor, nullptr, show_predictor},
+     "predictor"},
+    {"--adaptive", "", "adaptive det/prob scheme selection", &S::adaptive,
+     "adaptive"},
+    {"--alpha", "X", "SMT slowdown factor", &S::alpha, "alpha"},
+    {"--beta", "X", "c = t_cmp = beta * t", &S::beta, "beta"},
+    {"--s", "N", "checkpoint interval in rounds", &S::s, "s"},
+    {"--rounds", "N", "job length in rounds", &S::rounds, "rounds"},
+    {"--hw-threads", "N", "modelled SMT hardware threads: 2, 3 or 5",
+     &S::threads, "threads"},
+    {"--seed", "N", "RNG seed of faults, engine, predictor",
+     &S::seed, "seed", "", {}, kSingleRunFlags},
+    {"--rate", "X", "Poisson fault rate", &S::rate, "rate", "fault", {},
+     kSingleRunFlags},
+    {"--crash-weight", "X", "crash fault fraction", &S::crash_weight,
+     "crash_weight", "fault", {}, kSingleRunFlags},
+    {"--permanent-weight", "X", "permanent fault fraction",
+     &S::permanent_weight, "permanent_weight", "fault", {},
+     kSingleRunFlags},
+    {"--bias", "X", "P(fault hits version 1)", &S::bias, "bias", "fault",
+     {}, kSingleRunFlags},
+    {"--locations", "N", "abstract fault locations", &S::locations,
+     "locations", "fault", {}, kSingleRunFlags},
+    {"--skew", "X", "location uniformity in (0, 1]", &S::skew, "skew",
+     "fault", {}, kSingleRunFlags},
+    {"", "", "", &S::srt_compare_overhead, "compare_overhead", "srt"},
+    {"", "", "", &S::srt_chunks_per_round, "chunks_per_round", "srt"},
+    {"", "", "", &S::duplex_processors, "processors", "duplex"},
+    {"--replay-window", "N", "replay: rounds per compare window",
+     &S::replay_window, "window", "replay"},
+    {"--replay-overhead", "X", "replay: record slowdown",
+     &S::replay_record_overhead, "record_overhead", "replay"},
+    {"--decorrelation", "X", "dme: structural diversity d",
+     &S::dme_decorrelation, "decorrelation", "dme"},
+    {"--common-mode", "X", "dme: common-mode fraction at d = 0",
+     &S::dme_common_mode, "common_mode", "dme"},
+};
+
+}  // namespace
+
+std::span<const Field<Scenario>> scenario_fields() {
+  return kScenarioFields;
 }
 
 }  // namespace vds::scenario

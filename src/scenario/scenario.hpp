@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -11,14 +12,9 @@
 #include "baseline/duplex.hpp"
 #include "baseline/srt.hpp"
 #include "fault/fault_model.hpp"
-
-namespace vds::runtime {
-class JsonWriter;
-}  // namespace vds::runtime
+#include "scenario/fields.hpp"
 
 namespace vds::scenario {
-
-class JsonValue;
 
 /// Which protocol engine a scenario drives.
 enum class EngineKind : std::uint8_t {
@@ -66,7 +62,7 @@ struct Scenario {
   double beta = 0.1;     ///< c = t_cmp = beta * t
   int s = 20;            ///< checkpoint interval in rounds
   std::uint64_t rounds = 10000;  ///< job length in rounds
-  int threads = 2;       ///< SMT hardware threads (2, 3 or 5)
+  int threads = 2;       ///< SMT hardware threads (2, 3 or 5); --hw-threads
   std::uint64_t seed = 1;
 
   // --- fault process ---
@@ -127,11 +123,18 @@ struct Scenario {
   /// the inner object here without re-serializing.
   [[nodiscard]] static Scenario from_json_value(const JsonValue& doc);
 
-  /// FNV-1a over the canonical JSON serialization: equal scenarios
-  /// hash equal, any field change rehashes.
-  [[nodiscard]] std::uint64_t fingerprint() const;
-
   [[nodiscard]] bool operator==(const Scenario&) const = default;
 };
+
+/// Flag group of the single-run fields: the scenario seed and the
+/// fault process. Only a tool that runs one job reads them; campaigns
+/// draw their own faults.
+inline constexpr std::uint8_t kSingleRunFlags = 1;
+
+/// Every Scenario field in vds.scenario.v1 key order, plus the
+/// `--scenario FILE` loader: the one list behind the flags, --help,
+/// from_json and write_json. Engine-under-test flags are in group 0,
+/// the single-run flags in kSingleRunFlags.
+[[nodiscard]] std::span<const Field<Scenario>> scenario_fields();
 
 }  // namespace vds::scenario

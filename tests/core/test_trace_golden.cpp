@@ -54,13 +54,11 @@ scenario::Scenario parse_flags(const std::string& flags) {
   std::vector<char*> argv;
   for (auto& token : tokens) argv.push_back(token.data());
   scenario::Scenario sc;
-  scenario::ArgCursor args(static_cast<int>(argv.size()), argv.data());
-  while (!args.done()) {
-    const std::string arg(args.next());
-    if (!scenario::apply_scenario_flag(sc, arg, args)) {
-      ADD_FAILURE() << "not a scenario flag: " << arg;
-    }
-  }
+  scenario::CommandLine cli("", "");
+  cli.add("engine", scenario::scenario_fields(), sc)
+      .add("single run", scenario::scenario_fields(), sc,
+           scenario::kSingleRunFlags);
+  EXPECT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
   sc.validate();
   return sc;
 }

@@ -25,7 +25,7 @@ done < "$here/manifest.txt"
 
 for threads in 1 3; do
   "$build/tools/vds_mc" --replicas 40 --grid 1,7,13,20 --scheme det \
-    --predictor two_bit --seed 3 --job-rounds 60 --threads "$threads" \
+    --predictor two_bit --seed 3 --rounds 60 --threads "$threads" \
     --quiet --json-out "$tmp/mc_$threads.json"
   if ! cmp -s "$here/mc_summary.json" "$tmp/mc_$threads.json"; then
     echo "MISMATCH mc_summary.json (threads=$threads)"

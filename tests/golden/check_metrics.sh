@@ -18,7 +18,7 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 # Fixed reference campaign; only the engine kind varies.
-campaign_args='--replicas 20 --grid 1,7,13 --seed 5 --job-rounds 60 --quiet'
+campaign_args='--replicas 20 --grid 1,7,13 --seed 5 --rounds 60 --quiet'
 
 extract_counters() {
   sed -n '/^  "counters": {/,/^  },$/p' "$1"

@@ -24,7 +24,7 @@ while IFS='|' read -r name args; do
 done < "$here/manifest.txt"
 
 "$mc" --replicas 40 --grid 1,7,13,20 --scheme det --predictor two_bit \
-      --seed 3 --job-rounds 60 --threads 1 --quiet --json-out \
+      --seed 3 --rounds 60 --threads 1 --quiet --json-out \
       "$here/mc_summary.json"
 printf 'wrote mc_summary.json\n'
 

@@ -1,12 +1,16 @@
 #include "scenario/cli.hpp"
 
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/options.hpp"
+#include "scenario/campaign_spec.hpp"
 #include "scenario/engine_factory.hpp"
+#include "scenario/json_reader.hpp"
 #include "expect_rejects.hpp"
 
 namespace vds::scenario {
@@ -104,31 +108,45 @@ TEST(StrictParse, EveryNumericParserUsesTheShape) {
                          "--threads", "-8");
 }
 
-// --- ArgCursor / apply_scenario_flag ----------------------------------
+// --- field tables and CommandLine ------------------------------------
 
-/// Feeds `tokens` (sans argv[0], which ArgCursor skips) through the
-/// shared scenario parser; every token must be consumed.
-Scenario parse_flags(std::vector<std::string> tokens) {
-  tokens.insert(tokens.begin(), "test");
-  std::vector<char*> argv;
-  argv.reserve(tokens.size());
-  for (auto& token : tokens) argv.push_back(token.data());
-  ArgCursor args(static_cast<int>(argv.size()), argv.data());
-  Scenario scenario;
-  while (!args.done()) {
-    const std::string arg(args.next());
-    if (!apply_scenario_flag(scenario, arg, args)) {
-      throw CliError("unknown option '" + arg + "'");
-    }
+/// argv for `tokens`, with a program name in front.
+struct Argv {
+  explicit Argv(std::vector<std::string> tokens) : storage(std::move(tokens)) {
+    storage.insert(storage.begin(), "test");
+    for (auto& token : storage) pointers.push_back(token.data());
   }
+  [[nodiscard]] int argc() const { return static_cast<int>(pointers.size()); }
+  std::vector<std::string> storage;
+  std::vector<char*> pointers;
+};
+
+/// Parses `tokens` through vds_cli's scenario tables (engine under test
+/// plus single run); every token must be a flag of those tables.
+Scenario parse_flags(std::vector<std::string> tokens) {
+  Argv argv(std::move(tokens));
+  Scenario scenario;
+  CommandLine cli("", "");
+  cli.add("engine", scenario_fields(), scenario)
+      .add("single run", scenario_fields(), scenario, kSingleRunFlags);
+  EXPECT_TRUE(cli.parse(argv.argc(), argv.pointers.data()));
   return scenario;
+}
+
+CampaignSpec parse_campaign_flags(std::vector<std::string> tokens) {
+  Argv argv(std::move(tokens));
+  CampaignSpec spec;
+  CommandLine cli("", "");
+  cli.add("campaign", campaign_fields(), spec);
+  EXPECT_TRUE(cli.parse(argv.argc(), argv.pointers.data()));
+  return spec;
 }
 
 TEST(ScenarioFlags, ParsesEveryFlag) {
   const Scenario scenario = parse_flags(
       {"--engine", "duplex", "--scheme", "retry", "--predictor", "oracle",
        "--adaptive", "--alpha", "0.7", "--beta", "0.2", "--s", "10",
-       "--rounds", "500", "--threads", "3", "--seed", "99", "--rate",
+       "--rounds", "500", "--hw-threads", "3", "--seed", "99", "--rate",
        "0.05", "--crash-weight", "0.1", "--permanent-weight", "0.2",
        "--bias", "0.6", "--locations", "8", "--skew", "0.5"});
   EXPECT_EQ(scenario.engine, EngineKind::kDuplex);
@@ -166,15 +184,161 @@ TEST(ScenarioFlags, RejectsBadValues) {
   EXPECT_THROW(parse_flags({"--alpha"}), CliError);
 }
 
-TEST(ScenarioFlags, UnknownFlagFallsThrough) {
+TEST(ScenarioFlags, UnknownFlagIsAUsageError) {
+  Argv argv({"--frobnicate"});
   Scenario scenario;
-  std::string prog = "test";
-  std::string flag = "--frobnicate";
-  char* argv[] = {prog.data(), flag.data()};
-  ArgCursor args(2, argv);
-  const std::string arg(args.next());
-  EXPECT_FALSE(apply_scenario_flag(scenario, arg, args));
-  EXPECT_EQ(scenario, Scenario{});  // untouched on fall-through
+  CommandLine cli("", "");
+  cli.add("engine", scenario_fields(), scenario);
+  EXPECT_REJECTS(cli.parse(argv.argc(), argv.pointers.data()), CliError);
+  EXPECT_EQ(scenario, Scenario{});  // untouched
+}
+
+TEST(ScenarioFlags, CampaignToolsLackTheSingleRunFlags) {
+  // Campaigns draw their own faults, so only a tool that adds the
+  // single-run group accepts the fault-process flags.
+  Argv argv({"--rate", "5"});
+  Scenario scenario;
+  CommandLine cli("", "");
+  cli.add("engine", scenario_fields(), scenario);
+  EXPECT_REJECTS(cli.parse(argv.argc(), argv.pointers.data()), CliError);
+}
+
+TEST(CommandLine, TwoTablesClaimingOneFlagFailAtStartup) {
+  Scenario scenario;
+  CampaignSpec campaign;
+  CommandLine cli("", "");
+  cli.add("single run", scenario_fields(), scenario, kSingleRunFlags);
+  EXPECT_THROW(cli.add("campaign", campaign_fields(), campaign),
+               std::logic_error);  // both claim --seed
+}
+
+TEST(CommandLine, UsageShowsLiveDefaultsOncePerFlag) {
+  Scenario scenario;
+  scenario.rounds = 60;
+  CommandLine cli("head\n", "tail\n");
+  cli.add("engine under test", scenario_fields(), scenario);
+  const std::string usage = cli.usage();
+  EXPECT_NE(usage.find("job length in rounds [60]"), std::string::npos)
+      << usage;
+  EXPECT_EQ(usage.find("--hw-threads"), usage.rfind("--hw-threads"));
+  EXPECT_EQ(usage.find("--seed"), std::string::npos);
+}
+
+TEST(CampaignFlags, TargetCiZeroMeansOff) {
+  EXPECT_DOUBLE_EQ(parse_campaign_flags({"--target-ci", "0"}).target_ci,
+                   0.0);
+  EXPECT_DOUBLE_EQ(parse_campaign_flags({"--target-ci", "0.05"}).target_ci,
+                   0.05);
+  EXPECT_THROW(parse_campaign_flags({"--target-ci", "-0.1"}), CliError);
+}
+
+TEST(CampaignFlags, ReplicasZeroIsAUsageError) {
+  EXPECT_THROW(parse_campaign_flags({"--replicas", "0"}), CliError);
+}
+
+// --- flag/JSON parity -------------------------------------------------
+
+/// A valid sample and a rejected value ("" = none to test), spelled for
+/// the command line and for JSON.
+struct Sample {
+  std::string flag_text;
+  std::string json_text;
+  std::string bad_flag_text;
+  std::string bad_json_text;
+};
+
+/// Every field with both a flag and a JSON key must have a sample here,
+/// so a new field cannot skip the parity check.
+const std::map<std::string, Sample>& samples() {
+  static const std::map<std::string, Sample> table = {
+      {"--engine", {"dme", "\"dme\"", "warp", "\"warp\""}},
+      {"--scheme", {"prob", "\"prob\"", "hope", "\"hope\""}},
+      {"--predictor", {"two_bit", "\"two_bit\"", "crystal", "\"crystal\""}},
+      {"--adaptive", {"", "true", "", ""}},
+      {"--alpha", {"0.7", "0.7", "", ""}},
+      {"--beta", {"0.2", "0.2", "", ""}},
+      {"--s", {"12", "12", "2147483648", "2147483648"}},
+      {"--rounds", {"600", "600", "-1", "-1"}},
+      {"--hw-threads", {"5", "5", "", ""}},
+      {"--seed", {"18446744073709551615", "18446744073709551615", "", ""}},
+      {"--rate", {"0.002", "0.002", "", ""}},
+      {"--crash-weight", {"0.1", "0.1", "", ""}},
+      {"--permanent-weight", {"0.05", "0.05", "", ""}},
+      {"--bias", {"0.75", "0.75", "", ""}},
+      {"--locations", {"32", "32", "4294967296", "4294967296"}},
+      {"--skew", {"0.5", "0.5", "", ""}},
+      {"--replay-window", {"8", "8", "", ""}},
+      {"--replay-overhead", {"0.02", "0.02", "", ""}},
+      {"--decorrelation", {"0.9", "0.9", "", ""}},
+      {"--common-mode", {"0.1", "0.1", "", ""}},
+      {"--replicas", {"7", "7", "0", "0"}},
+      {"--grid", {"1,3", "[1, 3]", "1,0", "[1, 0]"}},
+      {"--kinds",
+       {"crash,transient", "[\"crash\", \"transient\"]", "meteor",
+        "[\"meteor\"]"}},
+      {"--fixed-offset", {"0.25", "0.25", "", ""}},
+      {"--cell-timeout", {"2.5", "2.5", "-1", "-1"}},
+      {"--max-retries", {"4", "4", "4294967296", "4294967296"}},
+      {"--target-ci", {"0.05", "0.05", "-0.5", "-0.5"}},
+      {"--min-replicas", {"16", "16", "0", "0"}},
+      {"--max-replicas", {"2000", "2000", "0", "0"}},
+      {"--batch", {"64", "64", "0", "0"}},
+  };
+  return table;
+}
+
+/// Sets one field of a fresh C through its flag, and one through its
+/// JSON key (read by the same table, without cross-field validation).
+template <typename C, typename Fields>
+void expect_flag_json_parity(const Fields& fields, std::string_view context,
+                             std::uint8_t group_count) {
+  for (const Field<C>& field : fields) {
+    if (field.flag.empty() || field.key.empty()) continue;
+    const std::string flag(field.flag);
+    const auto sample = samples().find(flag);
+    ASSERT_NE(sample, samples().end()) << "no parity sample for " << flag;
+    const auto json_doc = [&](const std::string& value) {
+      const std::string member = "\"" + std::string(field.key) + "\": " + value;
+      return parse_json(field.section.empty()
+                            ? "{" + member + "}"
+                            : "{\"" + std::string(field.section) + "\": {" +
+                                  member + "}}");
+    };
+    const auto by_flag = [&](const std::string& text) {
+      std::vector<std::string> tokens{flag};
+      if (!field.meta.empty()) tokens.push_back(text);
+      Argv argv(tokens);
+      C config;
+      CommandLine cli("", "");
+      for (std::uint8_t group = 0; group < group_count; ++group) {
+        cli.add("table", fields, config, group);
+      }
+      EXPECT_TRUE(cli.parse(argv.argc(), argv.pointers.data()));
+      return config;
+    };
+    const auto by_json = [&](const std::string& value) {
+      C config;
+      read_fields(json_doc(value), fields, config, context);
+      return config;
+    };
+    EXPECT_EQ(by_flag(sample->second.flag_text),
+              by_json(sample->second.json_text))
+        << flag;
+    EXPECT_NE(by_json(sample->second.json_text), C{}) << flag;
+    if (!sample->second.bad_flag_text.empty()) {
+      EXPECT_THROW(by_flag(sample->second.bad_flag_text), CliError) << flag;
+      EXPECT_THROW(by_json(sample->second.bad_json_text), std::exception)
+          << flag;
+    }
+  }
+}
+
+TEST(FieldTables, ScenarioFlagAndJsonAgree) {
+  expect_flag_json_parity<Scenario>(scenario_fields(), "Scenario", 2);
+}
+
+TEST(FieldTables, CampaignFlagAndJsonAgree) {
+  expect_flag_json_parity<CampaignSpec>(campaign_fields(), "campaign", 1);
 }
 
 // --- engine factory ---------------------------------------------------

@@ -2,7 +2,9 @@
 # Documentation consistency: the reference docs must keep up with the
 # code. Three checks, each against the *built* tools and committed
 # goldens so drift fails CI rather than rotting quietly:
-#   1. every long flag a tool prints in --help appears in docs/CLI.md;
+#   1. every long flag a tool prints in --help appears in docs/CLI.md,
+#      and no tool's flag column (lines indented by two spaces) lists
+#      one flag twice;
 #   2. every top-level key of the golden JSON documents appears in
 #      docs/SCHEMAS.md;
 #   3. every relative markdown link in README/DESIGN/EXPERIMENTS and
@@ -39,6 +41,10 @@ for tool in vds_cli vds_mc vds_sweep vds_serve vds_journal vds_fabric; do
     if ! grep -q -- "$flag" "$cli_doc"; then
       fail "$tool flag '$flag' is missing from docs/CLI.md"
     fi
+  done
+  twice="$("$bin" --help 2>&1 | grep -oE '^  --[a-z][a-z-]*' | sort | uniq -d)"
+  for flag in $twice; do
+    fail "$tool --help lists '$flag' twice"
   done
 done
 

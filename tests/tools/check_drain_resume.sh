@@ -16,7 +16,7 @@ trap 'rm -rf "$tmp"' EXIT
 # fast the engine and the journal get. Every compared run carries the
 # same flags.
 flags=(--quiet --replicas 500 --grid 1,3,5 --kinds transient,crash
-       --job-rounds 200 --seed 11 --threads 2 --chaos pool.delay=1)
+       --rounds 200 --seed 11 --threads 2 --chaos pool.delay=1)
 
 digest_of() { grep -o '"digest": "[0-9a-f]*"' "$1"; }
 

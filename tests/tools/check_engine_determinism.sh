@@ -19,7 +19,7 @@ digest_of() { grep -o '"digest": "[0-9a-f]*"' "$1"; }
 failures=0
 for engine in replay dme; do
   flags=(--quiet --engine "$engine" --replicas 2000 --grid 1,5,9
-         --kinds transient,crash --job-rounds 400 --seed 11)
+         --kinds transient,crash --rounds 400 --seed 11)
 
   # --- thread invariance ---------------------------------------------
   "$mc" "${flags[@]}" --threads 1 --json-out "$tmp/$engine.t1.json" || {
@@ -100,6 +100,27 @@ for engine in replay dme; do
 
   echo "$engine: digest stable across threads, shard merge and drain+resume"
 done
+
+# --- --hw-threads is the scenario's "threads" key ---------------------
+# The flag and a scenario file must configure the same campaign: same
+# digest and fingerprint, both unlike the default 2-thread SMT model.
+hw_flags=(--replicas 20 --grid 1,5 --quiet --json-out -)
+printf '{"schema": "vds.scenario.v1", "threads": 5, "rounds": 60}\n' \
+  > "$tmp/threads5.json"
+by_flag=$("$mc" --hw-threads 5 "${hw_flags[@]}" |
+  grep -E '"(digest|fingerprint)"')
+by_file=$("$mc" --scenario "$tmp/threads5.json" "${hw_flags[@]}" |
+  grep -E '"(digest|fingerprint)"')
+default=$("$mc" "${hw_flags[@]}" | grep -E '"(digest|fingerprint)"')
+if [ -z "$by_flag" ] || [ "$by_flag" != "$by_file" ]; then
+  echo "FAIL: --hw-threads 5 and a threads=5 scenario file disagree" >&2
+  failures=$((failures + 1))
+elif [ "$by_flag" = "$default" ]; then
+  echo "FAIL: --hw-threads 5 left the campaign at the default model" >&2
+  failures=$((failures + 1))
+else
+  echo "--hw-threads 5 matches the threads=5 scenario file"
+fi
 
 if [ "$failures" -ne 0 ]; then
   echo "engine determinism: $failures violation(s)" >&2

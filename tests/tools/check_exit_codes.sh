@@ -42,8 +42,10 @@ expect_message() {
 # 0: clean runs.
 expect 0 "$cli" --rounds 50 --seed 3
 expect 0 "$mc" --quiet --replicas 2 --grid 1,3 --kinds transient \
-  --job-rounds 20 --threads 2
+  --rounds 20 --threads 2
 expect 0 "$sweep" --dataset gmax
+expect 0 "$mc" --quiet --replicas 2 --grid 1 --kinds transient \
+  --rounds 20 --target-ci 0            # 0 = fixed grid, as in serve JSON
 
 # 2: usage and parse errors.
 expect 2 "$cli" --no-such-flag
@@ -56,7 +58,11 @@ expect 2 "$mc" --grid 0                # invalid grid value
 expect 2 "$mc" --chaos cell.explode=1  # unknown chaos site
 expect 2 "$mc" --chaos cell.fail=2     # probability out of range
 expect 2 "$mc" --cell-range 5:5        # inverted/empty dispatch window
-expect 2 "$mc" --target-ci 0           # arming needs a positive target
+expect 2 "$mc" --target-ci -0.5        # a CI target is >= 0 (0 = off)
+expect 2 "$mc" --replicas 0            # the grid needs a replica
+expect 2 "$mc" --rate 5                # single-run flag: campaigns draw
+expect 2 "$mc" --seed 1 --bias 0.7     #   their own faults
+expect 2 "$mc" --threads 2 --rounds 20 --job-rounds 20  # one flag each
 expect 2 "$mc" --max-replicas 10       # cap without a CI target
 expect 2 "$sweep" --dataset nope
 expect 2 "$sweep" --no-such-flag
@@ -71,6 +77,7 @@ expect 2 "$fabric" --no-such-flag
 expect 2 "$fabric" --coordinate          # no rendezvous
 expect 2 "$fabric" --worker              # no coordinator address
 expect 2 "$fabric" --coordinate --socket x --target-ci 0.05
+expect 2 "$fabric" --coordinate --socket x --rate 5
 expect 2 "$fabric" --coordinate --socket x --journal j.journal
 expect 2 "$fabric" --coordinate --socket x --cell-range 0:10
 expect 2 "$fabric" --coordinate --socket x --expiry-ms 0
@@ -93,8 +100,10 @@ expect_message "--predictor: expected a registered predictor name, got 'crystal_
   "$cli" --predictor crystal_ball
 expect_message "--cell-range: expected LO < HI, got '5:5'" \
   "$mc" --cell-range 5:5
-expect_message "--target-ci: expected a relative half-width > 0, got '0'" \
-  "$mc" --target-ci 0
+expect_message "--target-ci: expected a relative half-width >= 0, got '-0.5'" \
+  "$mc" --target-ci -0.5
+expect_message "--replicas: expected a replica count >= 1, got '0'" \
+  "$mc" --replicas 0
 expect_message "--min-replicas: expected a replica count >= 1, got '0'" \
   "$mc" --min-replicas 0
 expect_message "--batch: expected a wave size >= 1, got '0'" \
@@ -118,13 +127,13 @@ expect_message "--coordinate needs --socket PATH or --port N" \
 
 # 2 via environment: $VDS_CHAOS is parsed like --chaos.
 VDS_CHAOS="bogus" expect 2 "$mc" --quiet --replicas 1 --grid 1 \
-  --kinds transient --job-rounds 10
+  --kinds transient --rounds 10
 
 # 3: runtime failure — a resume fingerprint mismatch.
-"$mc" --quiet --replicas 1 --grid 1 --kinds transient --job-rounds 10 \
+"$mc" --quiet --replicas 1 --grid 1 --kinds transient --rounds 10 \
   --journal "$tmp/j.journal" > /dev/null 2>&1
 expect 3 "$mc" --quiet --replicas 1 --grid 1 --kinds transient \
-  --job-rounds 10 --seed 99 --journal "$tmp/j.journal" --resume
+  --rounds 10 --seed 99 --journal "$tmp/j.journal" --resume
 
 # 3: shards that disagree about a stopping point refuse to merge, with
 # the one canonical diagnostic. Honest runs cannot produce this (the

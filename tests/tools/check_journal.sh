@@ -22,7 +22,7 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 flags=(--quiet --replicas 20 --grid 1,4 --kinds transient,crash
-       --job-rounds 60 --seed 13 --threads 2)
+       --rounds 60 --seed 13 --threads 2)
 # 2 kinds x 2 grid x 20 replicas = 80 cells.
 
 failures=0

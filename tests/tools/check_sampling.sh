@@ -18,7 +18,7 @@ trap 'rm -rf "$tmp"' EXIT
 # pool.delay chaos site sleeps 200 us before every pool task, so the
 # single-thread run outlasts the 500 ms heartbeat in (c) however fast
 # the engine gets. Every compared run carries the same flags.
-flags=(--quiet --replicas 400 --job-rounds 1200 --seed 7
+flags=(--quiet --replicas 400 --rounds 1200 --seed 7
        --target-ci 0.05 --min-replicas 16 --batch 32
        --chaos pool.delay=1)
 budget=8000

@@ -29,29 +29,13 @@ namespace {
 
 constexpr const char* kUsageHead = R"(usage: vds_cli [options]
 
+Runs one protocol simulation and prints the run report.
 )";
 
 constexpr const char* kUsageTail = R"(
-output:
-  --model                        print closed-form predictions
-  --events N                     dump the first N protocol events
-  --json                         machine-readable report on stdout
-                                 (schema vds.run_report.v1)
-  --emit-scenario                print the effective scenario as
-                                 vds.scenario.v1 JSON and exit
-  --help                         this text
-
 exit codes: 0 success; 1 job did not complete; 2 usage/parse error;
 3 runtime failure.
 )";
-
-void print_usage(std::FILE* stream) {
-  std::fputs(kUsageHead, stream);
-  std::fputs(std::string(vds::scenario::scenario_usage()).c_str(), stream);
-  std::fputs(std::string(vds::scenario::observability_usage()).c_str(),
-             stream);
-  std::fputs(kUsageTail, stream);
-}
 
 struct OutputOptions {
   bool model = false;
@@ -60,36 +44,31 @@ struct OutputOptions {
   std::size_t trace = 0;
 };
 
+const vds::scenario::Field<OutputOptions> kOutputFlags[] = {
+    {"--model", "", "print closed-form predictions", &OutputOptions::model},
+    {"--events", "N", "dump the first N protocol events",
+     &OutputOptions::trace},
+    {"--json", "",
+     "machine-readable report on stdout\n(schema vds.run_report.v1)",
+     &OutputOptions::json},
+    {"--emit-scenario", "",
+     "print the effective scenario as\nvds.scenario.v1 JSON and exit",
+     &OutputOptions::emit_scenario},
+};
+
 int run_cli(int argc, char** argv) {
   vds::scenario::Scenario scenario;
   vds::scenario::Observability observability;
   OutputOptions out;
 
-  vds::scenario::ArgCursor args(argc, argv);
-  while (!args.done()) {
-    const std::string arg(args.next());
-    if (arg == "--help" || arg == "-h") {
-      print_usage(stdout);
-      return 0;
-    } else if (vds::scenario::apply_scenario_flag(scenario, arg, args)) {
-      // handled by the shared scenario parser
-    } else if (vds::scenario::apply_observability_flag(observability, arg,
-                                                       args)) {
-      // handled by the shared observability parser
-    } else if (arg == "--model") {
-      out.model = true;
-    } else if (arg == "--json") {
-      out.json = true;
-    } else if (arg == "--emit-scenario") {
-      out.emit_scenario = true;
-    } else if (arg == "--events") {
-      out.trace = static_cast<std::size_t>(args.value_u64(arg));
-    } else {
-      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      print_usage(stderr);
-      return 2;
-    }
-  }
+  vds::scenario::CommandLine cli(kUsageHead, kUsageTail);
+  cli.add("engine under test", vds::scenario::scenario_fields(), scenario)
+      .add("single run", vds::scenario::scenario_fields(), scenario,
+           vds::scenario::kSingleRunFlags)
+      .add("observability", vds::scenario::observability_fields(),
+           observability)
+      .add("output", kOutputFlags, out);
+  if (!cli.parse(argc, argv)) return 0;
   scenario.validate();
 
   if (out.emit_scenario) {

@@ -38,38 +38,15 @@ constexpr const char* kUsageHead = R"(usage: vds_fabric --coordinate [options]
 Distributed Monte Carlo campaign: a coordinator leases cell ranges to
 worker processes and merges their journals into the exact digest of a
 single-process vds_mc run — across worker crashes, lease expiries and
-coordinator kill/--resume.
-
-coordinator rendezvous (one of):
-  --socket PATH                  Unix listen socket
-  --port N                       TCP listen port on 127.0.0.1
-
-coordinator options:
-  --workdir DIR                  assignment log + shard journals [fabric-work]
-  --lease-cells N                cells per lease          [cells/16, min 1]
-  --heartbeat-ms N               interval workers are told        [500]
-  --expiry-ms N                  silence before a lease expires   [5000]
-  --backoff-ms N                 reassignment backoff base        [100]
-  --backoff-cap-ms N             reassignment backoff cap         [5000]
-  --resume                       replay the assignment log, re-issue
-                                 only leases without a completion
-  --json-out PATH                final vds.mc_summary.v1 ('-' = stdout)
-  --quiet                        suppress fabric progress on stderr
-
-worker options:
-  --connect PATH                 coordinator's Unix socket
-  --port N                       coordinator's TCP port
-  --name NAME                    announced worker name     [worker-PID]
-  --threads N                    pool width per lease      [hardware]
-  --heartbeat-ms N               override the coordinator's interval
-                                 (0 disables heartbeats)
-
-engine under test (coordinator only; shipped to workers in the config
-handshake):
-
+coordinator kill/--resume. The engine and campaign flags matter only
+on the coordinator, which ships them to workers in the config
+handshake; a worker needs the coordinator's address.
 )";
 
 constexpr const char* kUsageTail = R"(
+On the coordinator, the campaign's resume flag replays the assignment
+log and re-issues only leases without a completion.
+
 --target-ci is rejected: adaptive stopping decisions are per-stratum
 pure functions of canonically-ordered results, which arbitrary lease
 ranges cannot reproduce shard-locally. Run vds_mc for adaptive
@@ -83,93 +60,84 @@ exit codes: 0 success; 2 usage/parse error; 3 runtime failure
 (including digest conflict); 130 signal drain.
 )";
 
-void print_usage(std::FILE* stream) {
-  std::fputs(kUsageHead, stream);
-  std::fputs(std::string(vds::scenario::scenario_usage()).c_str(), stream);
-  std::fputs(std::string(vds::scenario::campaign_usage()).c_str(), stream);
-  std::fputs(kUsageTail, stream);
-}
+/// The coordinator's options bind straight to the flag table (their
+/// defaults are the ones --help shows); the rest are mode and worker
+/// flags.
+struct FabricFlags : vds::fabric::CoordinatorOptions {
+  bool coordinate = false;
+  bool worker = false;
+  std::string connect;
+  std::uint64_t port = 0;
+  std::string name;
+};
+
+using F = FabricFlags;
+
+const vds::scenario::Field<FabricFlags> kFabricFlags[] = {
+    {"--coordinate", "", "run the coordinator", &F::coordinate},
+    {"--worker", "", "run a worker", &F::worker},
+    {"--socket", "PATH", "coordinator: Unix listen socket",
+     &F::socket_path},
+    {"--connect", "PATH", "worker: the coordinator's Unix socket",
+     &F::connect},
+    {"--port", "N",
+     "TCP port on 127.0.0.1 (coordinator: listen;\nworker: dial)", &F::port,
+     "", "", {"a port in 1..65535", 1, 65535}},
+    {"--workdir", "DIR", "coordinator: assignment log + shard journals",
+     &F::workdir},
+    {"--lease-cells", "N", "cells per lease (0 = cells/16, min 1)",
+     &F::lease_cells},
+    {"--heartbeat-ms", "N",
+     "heartbeat interval workers are told; on a\nworker, overrides it "
+     "(0 disables heartbeats)",
+     &F::heartbeat_ms},
+    {"--expiry-ms", "N", "silence before a lease expires", &F::expiry_ms},
+    {"--backoff-ms", "N", "reassignment backoff base", &F::backoff_ms},
+    {"--backoff-cap-ms", "N", "reassignment backoff cap",
+     &F::backoff_cap_ms},
+    {"--name", "NAME", "worker: announced name (default worker-PID)",
+     &F::name},
+    {"--json-out", "PATH", "final vds.mc_summary.v1 ('-' = stdout)",
+     &F::json_out},
+    {"--quiet", "", "suppress fabric progress on stderr", &F::quiet},
+};
 
 int run_fabric(int argc, char** argv) {
   using vds::scenario::CliError;
 
-  enum class Mode { kUnset, kCoordinate, kWorker };
-  Mode mode = Mode::kUnset;
-  vds::fabric::CoordinatorOptions coord;
+  FabricFlags flags;
+  vds::fabric::CoordinatorOptions& coord = flags;
   coord.scenario.rounds = 60;  // match vds_mc's default job length
-  vds::fabric::WorkerOptions worker;
+  coord.workdir = "fabric-work";
 
-  vds::scenario::ArgCursor args(argc, argv);
-  while (!args.done()) {
-    const std::string arg(args.next());
-    if (arg == "--help" || arg == "-h") {
-      print_usage(stdout);
-      return 0;
-    } else if (arg == "--coordinate") {
-      mode = Mode::kCoordinate;
-    } else if (arg == "--worker") {
-      mode = Mode::kWorker;
-    } else if (arg == "--socket") {
-      coord.socket_path = std::string(args.value(arg));
-    } else if (arg == "--connect") {
-      worker.socket_path = std::string(args.value(arg));
-    } else if (arg == "--port") {
-      const unsigned port = args.value_unsigned(arg);
-      if (port == 0 || port > 65535) {
-        vds::scenario::bad_value(arg, std::to_string(port),
-                                 "a TCP port in 1..65535");
-      }
-      coord.tcp_port = static_cast<std::uint16_t>(port);
-      worker.tcp_port = coord.tcp_port;
-    } else if (arg == "--workdir") {
-      coord.workdir = std::string(args.value(arg));
-    } else if (arg == "--lease-cells") {
-      coord.lease_cells = args.value_u64(arg);
-    } else if (arg == "--heartbeat-ms") {
-      // Shared spelling: coordinator interval or worker override.
-      const std::uint64_t ms = args.value_u64(arg);
-      coord.heartbeat_ms = ms;
-      worker.heartbeat_ms = ms;
-    } else if (arg == "--expiry-ms") {
-      coord.expiry_ms = args.value_u64(arg);
-    } else if (arg == "--backoff-ms") {
-      coord.backoff_ms = args.value_u64(arg);
-    } else if (arg == "--backoff-cap-ms") {
-      coord.backoff_cap_ms = args.value_u64(arg);
-    } else if (arg == "--name") {
-      worker.name = std::string(args.value(arg));
-    } else if (arg == "--json-out") {
-      coord.json_out = std::string(args.value(arg));
-    } else if (arg == "--quiet") {
-      coord.quiet = true;
-      worker.quiet = true;
-    } else if (vds::scenario::apply_campaign_flag(coord.campaign, arg,
-                                                  args)) {
-      // campaign grid/execution/robustness flag, shared with vds_mc
-    } else if (vds::scenario::apply_scenario_flag(coord.scenario, arg,
-                                                  args)) {
-      // engine-under-test flag, handled by the shared parser
-    } else {
-      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      print_usage(stderr);
-      return 2;
-    }
-  }
+  vds::scenario::CommandLine cli(kUsageHead, kUsageTail);
+  cli.add("engine under test", vds::scenario::scenario_fields(),
+          coord.scenario)
+      .add("campaign", vds::scenario::campaign_fields(), coord.campaign)
+      .add("fabric", kFabricFlags, flags);
+  if (!cli.parse(argc, argv)) return 0;
 
-  if (mode == Mode::kUnset) {
+  if (flags.coordinate == flags.worker) {
     throw CliError("pick a mode: --coordinate or --worker");
   }
+  const auto port = static_cast<std::uint16_t>(flags.port);
 
   // A dead peer mid-write must not kill either side; the FdSink
   // surfaces the EPIPE as a structured transport error instead.
   std::signal(SIGPIPE, SIG_IGN);
   vds::runtime::install_drain_signal_handlers();
 
-  if (mode == Mode::kWorker) {
-    if (worker.socket_path.empty() && worker.tcp_port == 0) {
+  if (flags.worker) {
+    if (flags.connect.empty() && port == 0) {
       throw CliError("--worker needs --connect PATH or --port N");
     }
-    worker.threads = coord.campaign.threads;  // --threads, shared parser
+    vds::fabric::WorkerOptions worker;
+    worker.socket_path = flags.connect;
+    worker.tcp_port = port;
+    worker.name = flags.name;
+    worker.threads = coord.campaign.threads;  // the campaign --threads
+    if (cli.seen("--heartbeat-ms")) worker.heartbeat_ms = flags.heartbeat_ms;
+    worker.quiet = flags.quiet;
     return vds::fabric::run_worker(worker);
   }
 
@@ -191,7 +159,8 @@ int run_fabric(int argc, char** argv) {
     throw CliError("--cell-range is owned by the lease table in fabric "
                    "mode");
   }
-  if (coord.socket_path.empty() && coord.tcp_port == 0) {
+  coord.tcp_port = port;
+  if (coord.socket_path.empty() && port == 0) {
     throw CliError("--coordinate needs --socket PATH or --port N");
   }
   if (coord.workdir.empty()) coord.workdir = "fabric-work";
@@ -200,7 +169,7 @@ int run_fabric(int argc, char** argv) {
     throw CliError("--backoff-cap-ms must be >= --backoff-ms");
   }
   // vds_fabric --resume means "replay the assignment log": lift it out
-  // of the campaign spec (where the shared parser routed it) so the
+  // of the campaign spec (where the campaign table routed it) so the
   // per-lease worker configs never resume a shard journal.
   coord.resume = coord.campaign.resume;
   coord.campaign.resume = false;

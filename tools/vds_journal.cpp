@@ -28,7 +28,7 @@
 
 namespace {
 
-constexpr const char* kUsage = R"(usage: vds_journal COMMAND [options] PATH...
+constexpr const char* kUsageHead = R"(usage: vds_journal COMMAND [options] PATH...
 
 commands:
   inspect PATH        parse one journal and print a vds.journal_info.v1
@@ -40,24 +40,35 @@ commands:
                       --out; fingerprints must match, duplicate cells
                       with identical payloads are coalesced, and
                       conflicting duplicates are refused
+)";
 
-options:
-  --records           inspect: include every intact record in the JSON
-  --json-out PATH     inspect/merge: write a vds.journal_info.v1 report
-                      to PATH ('-' = stdout; inspect defaults to stdout,
-                      merge defaults off). For merge the report covers
-                      the merged output and carries a per-shard array
-                      (path, records, stops, leases, corrupt) plus the
-                      winning fingerprint.
-  --out PATH          merge: output journal path (required; overwritten)
-  --format FORMAT     merge: output encoding, v2 (text) or v3 (binary)
-                      [v3]
-  --help              this text
-
+constexpr const char* kUsageTail = R"(
 exit codes: 0 success; 1 verify found corrupt records; 2 usage/parse
 error; 3 runtime failure (unreadable, foreign, or mismatched journals,
 or shards that disagree about a cell).
 )";
+
+struct JournalFlags {
+  bool records = false;
+  std::string json_out;
+  std::string out;
+  std::string format = "v3";
+};
+
+const vds::scenario::Field<JournalFlags> kJournalFlags[] = {
+    {"--records", "", "inspect: include every intact record\nin the JSON",
+     &JournalFlags::records},
+    {"--json-out", "PATH",
+     "inspect/merge: write a vds.journal_info.v1\nreport to PATH ('-' = "
+     "stdout; inspect\ndefaults to stdout, merge to none). For\nmerge it "
+     "covers the merged output with a\nper-shard array and the winning "
+     "fingerprint",
+     &JournalFlags::json_out},
+    {"--out", "PATH", "merge: output journal path (required;\noverwritten)",
+     &JournalFlags::out},
+    {"--format", "v2|v3", "merge: output encoding (v2 text,\nv3 binary)",
+     &JournalFlags::format},
+};
 
 std::string hex16(std::uint64_t value) {
   char buf[20];
@@ -315,61 +326,35 @@ int run_merge(const std::vector<std::string>& paths,
 }
 
 int run(int argc, char** argv) {
-  if (argc < 2) {
-    std::fputs(kUsage, stderr);
+  JournalFlags flags;
+  vds::scenario::CommandLine cli(kUsageHead, kUsageTail);
+  cli.add("options", kJournalFlags, flags);
+  std::vector<std::string> operands;
+  if (!cli.parse(argc, argv, &operands)) return 0;
+  if (flags.format != "v2" && flags.format != "v3") {
+    vds::scenario::bad_value("--format", flags.format, "v2 or v3");
+  }
+  if (operands.empty()) {
+    std::fputs(cli.usage().c_str(), stderr);
     return 2;
   }
-  vds::scenario::ArgCursor args(argc, argv);
-  const std::string command(args.next());
-  if (command == "--help" || command == "-h") {
-    std::fputs(kUsage, stdout);
-    return 0;
-  }
+  const std::string command = operands.front();
+  const std::vector<std::string> paths(operands.begin() + 1, operands.end());
 
-  bool dump_records = false;
-  std::string json_out = "-";
-  bool json_out_set = false;  // merge only reports when asked
-  std::string out_path;
-  auto format = vds::runtime::JournalFormat::kV3Binary;
-  std::vector<std::string> paths;
-  while (!args.done()) {
-    const std::string arg(args.next());
-    if (arg == "--help" || arg == "-h") {
-      std::fputs(kUsage, stdout);
-      return 0;
-    } else if (arg == "--records") {
-      dump_records = true;
-    } else if (arg == "--json-out") {
-      json_out = std::string(args.value(arg));
-      json_out_set = true;
-    } else if (arg == "--out") {
-      out_path = std::string(args.value(arg));
-    } else if (arg == "--format") {
-      const std::string_view text = args.value(arg);
-      if (text == "v2") {
-        format = vds::runtime::JournalFormat::kV2Text;
-      } else if (text == "v3") {
-        format = vds::runtime::JournalFormat::kV3Binary;
-      } else {
-        vds::scenario::bad_value(arg, text, "v2 or v3");
-      }
-    } else if (!arg.empty() && arg.front() == '-' && arg != "-") {
-      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      std::fputs(kUsage, stderr);
-      return 2;
-    } else {
-      paths.push_back(arg);
-    }
+  if (command == "inspect") {
+    return run_inspect(paths, flags.records,
+                       flags.json_out.empty() ? "-" : flags.json_out);
   }
-
-  if (command == "inspect") return run_inspect(paths, dump_records, json_out);
   if (command == "verify") return run_verify(paths);
   if (command == "merge") {
-    return run_merge(paths, out_path, format,
-                     json_out_set ? json_out : std::string());
+    return run_merge(paths, flags.out,
+                     flags.format == "v2"
+                         ? vds::runtime::JournalFormat::kV2Text
+                         : vds::runtime::JournalFormat::kV3Binary,
+                     flags.json_out);
   }
   std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
-  std::fputs(kUsage, stderr);
+  std::fputs(cli.usage().c_str(), stderr);
   return 2;
 }
 

@@ -12,9 +12,9 @@
 //
 // The engine under test is a scenario::Scenario: any engine kind,
 // scheme or predictor the shared config layer knows (load a whole
-// spec with --scenario FILE, then override with flags). Campaign
-// flags (--replicas, --grid, --threads, --seed, ...) are handled
-// here; everything else falls through to the scenario parser.
+// spec with --scenario FILE, then override with flags). The command
+// line composes the shared engine, campaign and observability field
+// tables plus this tool's output flags.
 
 #include <chrono>
 #include <condition_variable>
@@ -40,21 +40,12 @@ namespace {
 
 constexpr const char* kUsageHead = R"(usage: vds_mc [options]
 
-engine under test (shared scenario flags; --rate/--locations/... are
-accepted but unused -- the campaign schedules its own faults):
-
+Runs a (fault kind x detection round x replica) Monte Carlo campaign.
+The campaign schedules its own faults, so the single-run fault-process
+flags of vds_cli do not apply.
 )";
 
 constexpr const char* kUsageTail = R"(
-vds_mc only:
-  --job-rounds N                 job length in rounds         [60]
-  --json-out PATH                write JSON snapshot ('-' = stdout)
-  --quiet                        suppress the text summary
-  --progress                     stderr heartbeat while running
-                                 (cells resolved, strata stopped,
-                                 ETA); never touches stdout
-  --help                         this text
-
 SIGINT/SIGTERM drain the campaign gracefully: dispatch stops, in-flight
 cells are journaled, and the exit code is 130 with a resumable journal.
 
@@ -62,14 +53,21 @@ exit codes: 0 success; 2 usage/parse error; 3 runtime failure;
 130 signal drain.
 )";
 
-void print_usage(std::FILE* stream) {
-  std::fputs(kUsageHead, stream);
-  std::fputs(std::string(vds::scenario::scenario_usage()).c_str(), stream);
-  std::fputs(std::string(vds::scenario::campaign_usage()).c_str(), stream);
-  std::fputs(std::string(vds::scenario::observability_usage()).c_str(),
-             stream);
-  std::fputs(kUsageTail, stream);
-}
+struct OutputOptions {
+  std::string json_out;
+  bool quiet = false;
+  bool progress = false;
+};
+
+const vds::scenario::Field<OutputOptions> kOutputFlags[] = {
+    {"--json-out", "PATH", "write JSON snapshot ('-' = stdout)",
+     &OutputOptions::json_out},
+    {"--quiet", "", "suppress the text summary", &OutputOptions::quiet},
+    {"--progress", "",
+     "stderr heartbeat while running (cells\nresolved, strata stopped, "
+     "ETA); never\ntouches stdout",
+     &OutputOptions::progress},
+};
 
 /// The --progress heartbeat: a sampler thread printing resolved/target
 /// cells, early-stopped strata and an ETA to stderr twice a second.
@@ -139,40 +137,15 @@ int run_mc(int argc, char** argv) {
   scenario.rounds = 60;  // vds_mc's traditional default job length
   vds::scenario::Observability observability;
   vds::scenario::CampaignSpec campaign;
-  std::string json_out;
-  bool quiet = false;
-  bool show_progress = false;
+  OutputOptions out;
 
-  vds::scenario::ArgCursor args(argc, argv);
-  while (!args.done()) {
-    const std::string arg(args.next());
-    // Campaign flags claim --threads/--seed/--job-rounds before the
-    // scenario parser: for vds_mc they mean worker threads, campaign
-    // seed and job length, not the engine's SMT-context count.
-    if (arg == "--help" || arg == "-h") {
-      print_usage(stdout);
-      return 0;
-    } else if (arg == "--job-rounds") {
-      scenario.rounds = args.value_u64(arg);
-    } else if (arg == "--json-out") {
-      json_out = std::string(args.value(arg));
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg == "--progress") {
-      show_progress = true;
-    } else if (vds::scenario::apply_campaign_flag(campaign, arg, args)) {
-      // campaign grid/execution/robustness flag, shared with vds_fabric
-    } else if (vds::scenario::apply_scenario_flag(scenario, arg, args)) {
-      // engine-under-test flag, handled by the shared parser
-    } else if (vds::scenario::apply_observability_flag(observability, arg,
-                                                       args)) {
-      // handled by the shared observability parser
-    } else {
-      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      print_usage(stderr);
-      return 2;
-    }
-  }
+  vds::scenario::CommandLine cli(kUsageHead, kUsageTail);
+  cli.add("engine under test", vds::scenario::scenario_fields(), scenario)
+      .add("campaign", vds::scenario::campaign_fields(), campaign)
+      .add("observability", vds::scenario::observability_fields(),
+           observability)
+      .add("output", kOutputFlags, out);
+  if (!cli.parse(argc, argv)) return 0;
   scenario.validate();
   if (campaign.max_replicas > 0 && campaign.target_ci == 0.0) {
     throw CliError("--max-replicas requires --target-ci");
@@ -198,7 +171,7 @@ int run_mc(int argc, char** argv) {
   const unsigned workers =
       campaign.threads == 0 ? vds::runtime::ThreadPool::hardware_threads()
                             : campaign.threads;
-  if (!quiet) {
+  if (!out.quiet) {
     std::printf("campaign: %zu cells (%zu kinds x %zu rounds x %llu "
                 "replicas), %u worker thread%s\n",
                 config.cells(), config.kinds.size(), config.rounds.size(),
@@ -228,7 +201,7 @@ int run_mc(int argc, char** argv) {
     exec.arm_chaos(pool);
     {
       // Joined (scope exit) before reduce, even when wait_idle throws.
-      const ProgressReporter reporter(exec, show_progress);
+      const ProgressReporter reporter(exec, out.progress);
       exec.enqueue(pool);
       pool.wait_idle();
     }
@@ -242,7 +215,7 @@ int run_mc(int argc, char** argv) {
                                     start)
           .count();
 
-  if (!quiet) {
+  if (!out.quiet) {
     std::printf("done in %.2fs: %llu executed, %llu resumed from "
                 "journal\n",
                 elapsed,
@@ -296,15 +269,15 @@ int run_mc(int argc, char** argv) {
                 static_cast<unsigned long long>(summary.digest()));
   }
 
-  if (!json_out.empty()) {
-    if (json_out == "-") {
+  if (!out.json_out.empty()) {
+    if (out.json_out == "-") {
       vds::runtime::write_snapshot(std::cout, config, summary);
     } else {
-      std::ofstream out(json_out);
-      if (!out) {
-        throw CliError("cannot write '" + json_out + "'");
+      std::ofstream file(out.json_out);
+      if (!file) {
+        throw CliError("cannot write '" + out.json_out + "'");
       }
-      vds::runtime::write_snapshot(out, config, summary);
+      vds::runtime::write_snapshot(file, config, summary);
     }
   }
   observability.write();

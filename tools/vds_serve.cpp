@@ -33,22 +33,8 @@ namespace {
 
 constexpr const char* kUsageHead = R"(usage: vds_serve [options]
 
-transport (pick one):
-  --stdio                        newline-delimited requests on stdin,
-                                 responses on stdout        [default]
-  --unix PATH                    listen on a Unix stream socket
-  --tcp PORT                     listen on 127.0.0.1:PORT
-
-execution:
-  --threads N                    worker threads shared by all requests
-                                 (0 = hardware)              [0]
-  --queue-limit N                max outstanding (queued + in-service)
-                                 requests before code=queue_full
-                                 rejections                  [64]
-  --batch-max N                  requests coalesced onto the pool per
-                                 dispatch                    [8]
-  --help                         this text
-
+Serves newline-delimited vds.serve_request.v1 lines from one transport:
+stdin (the default), a Unix stream socket or a TCP port.
 )";
 
 constexpr const char* kUsageTail = R"(
@@ -66,70 +52,50 @@ exit codes: 0 input closed after all requests answered; 2 usage/parse
 error; 3 runtime failure; 130 signal drain.
 )";
 
-void print_usage(std::FILE* stream) {
-  std::fputs(kUsageHead, stream);
-  std::fputs(std::string(vds::scenario::observability_usage()).c_str(),
-             stream);
-  std::fputs(kUsageTail, stream);
-}
+/// The server's options bind straight to the flag table; the rest
+/// pick the transport.
+struct ServeFlags : vds::serve::ServerOptions {
+  bool stdio = false;
+  std::string unix_path;
+  std::uint64_t tcp_port = 0;
+};
 
-enum class Transport { kStdio, kUnix, kTcp };
+constexpr vds::scenario::Range kRequestCount{"a positive request count", 1};
+
+const vds::scenario::Field<ServeFlags> kServeFlags[] = {
+    {"--stdio", "", "requests on stdin, responses on stdout",
+     &ServeFlags::stdio},
+    {"--unix", "PATH", "listen on a Unix stream socket",
+     &ServeFlags::unix_path, "", "", {"a socket path", 1}},
+    {"--tcp", "PORT", "listen on 127.0.0.1:PORT", &ServeFlags::tcp_port, "",
+     "", {"a port in 1..65535", 1, 65535}},
+    {"--threads", "N",
+     "worker threads shared by all requests\n(0 = hardware)",
+     &ServeFlags::threads},
+    {"--queue-limit", "N",
+     "max outstanding (queued + in-service)\nrequests before "
+     "code=queue_full\nrejections",
+     &ServeFlags::queue_limit, "", "", kRequestCount},
+    {"--batch-max", "N", "requests coalesced onto the pool per\ndispatch",
+     &ServeFlags::batch_max, "", "", kRequestCount},
+};
 
 int run_serve(int argc, char** argv) {
   using vds::scenario::CliError;
 
-  vds::serve::ServerOptions options;
+  ServeFlags flags;
   vds::scenario::Observability observability;
-  Transport transport = Transport::kStdio;
-  std::string unix_path;
-  std::uint16_t tcp_port = 0;
+  vds::scenario::CommandLine cli(kUsageHead, kUsageTail);
+  cli.add("server", kServeFlags, flags)
+      .add("observability", vds::scenario::observability_fields(),
+           observability);
+  if (!cli.parse(argc, argv)) return 0;
 
-  vds::scenario::ArgCursor args(argc, argv);
-  while (!args.done()) {
-    const std::string arg(args.next());
-    if (arg == "--help" || arg == "-h") {
-      print_usage(stdout);
-      return 0;
-    } else if (arg == "--stdio") {
-      transport = Transport::kStdio;
-    } else if (arg == "--unix") {
-      transport = Transport::kUnix;
-      unix_path = std::string(args.value(arg));
-      if (unix_path.empty()) {
-        vds::scenario::bad_value(arg, unix_path, "a socket path");
-      }
-    } else if (arg == "--tcp") {
-      transport = Transport::kTcp;
-      const std::string_view text = args.value(arg);
-      const std::uint64_t port = vds::scenario::parse_u64(arg, text);
-      if (port == 0 || port > 65535) {
-        vds::scenario::bad_value(arg, text, "a port in 1..65535");
-      }
-      tcp_port = static_cast<std::uint16_t>(port);
-    } else if (arg == "--threads") {
-      options.threads = args.value_unsigned(arg);
-    } else if (arg == "--queue-limit") {
-      const std::string_view text = args.value(arg);
-      options.queue_limit = vds::scenario::parse_u64(arg, text);
-      if (options.queue_limit == 0) {
-        vds::scenario::bad_value(arg, text, "a positive request count");
-      }
-    } else if (arg == "--batch-max") {
-      const std::string_view text = args.value(arg);
-      options.batch_max = vds::scenario::parse_u64(arg, text);
-      if (options.batch_max == 0) {
-        vds::scenario::bad_value(arg, text, "a positive request count");
-      }
-    } else if (vds::scenario::apply_observability_flag(observability, arg,
-                                                       args)) {
-      // handled by the shared observability parser
-    } else {
-      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      print_usage(stderr);
-      return 2;
-    }
+  const bool unix_socket = !flags.unix_path.empty();
+  const bool tcp = flags.tcp_port != 0;
+  if (int{flags.stdio} + int{unix_socket} + int{tcp} > 1) {
+    throw CliError("pick one transport: --stdio, --unix or --tcp");
   }
-
   // A dead client mid-response must not kill the server.
   std::signal(SIGPIPE, SIG_IGN);
   vds::runtime::install_drain_signal_handlers();
@@ -137,17 +103,14 @@ int run_serve(int argc, char** argv) {
   observability.arm();
   int code;
   {
-    vds::serve::Server server(options);
-    switch (transport) {
-      case Transport::kStdio:
-        code = vds::serve::serve_stdio(server);
-        break;
-      case Transport::kUnix:
-        code = vds::serve::serve_unix(server, unix_path);
-        break;
-      case Transport::kTcp:
-        code = vds::serve::serve_tcp(server, tcp_port);
-        break;
+    vds::serve::Server server(flags);
+    if (unix_socket) {
+      code = vds::serve::serve_unix(server, flags.unix_path);
+    } else if (tcp) {
+      code = vds::serve::serve_tcp(
+          server, static_cast<std::uint16_t>(flags.tcp_port));
+    } else {
+      code = vds::serve::serve_stdio(server);
     }
   }
   observability.write();

@@ -28,7 +28,7 @@
 
 namespace {
 
-constexpr const char* kUsage = R"(usage: vds_sweep --dataset NAME [--samples N] [--threads N]
+constexpr const char* kUsageHead = R"(usage: vds_sweep --dataset NAME [options]
 
 datasets:
   fig4        G_corr(alpha, beta) surface at p = 0.5, s = 20 (Figure 4)
@@ -39,18 +39,32 @@ datasets:
   reliability closed-form reliability estimates over the fault rate
   engines     every detection engine over the fault rate, on identical
               fault timelines (E26)
+)";
 
-options:
-  --samples N   grid samples per axis for fig4/fig5 [11]
-  --engine KIND restrict the engines dataset to one engine kind
-                [all kinds]
-  --threads N   worker threads, 0 = hardware concurrency [0];
-                output is byte-identical for every value
-  --metrics FILE  write a vds.metrics.v1 snapshot ("-" = stdout)
-  --trace FILE    write Chrome trace-event spans (Perfetto loadable)
-
+constexpr const char* kUsageTail = R"(
 exit codes: 0 success; 2 usage/parse error; 3 runtime failure.
 )";
+
+struct SweepFlags {
+  std::string dataset;
+  std::string engine;
+  std::uint64_t samples = 11;
+  unsigned threads = 0;
+};
+
+const vds::scenario::Field<SweepFlags> kSweepFlags[] = {
+    {"--dataset", "NAME", "the dataset to emit (see above)",
+     &SweepFlags::dataset},
+    {"--samples", "N", "grid samples per axis for fig4/fig5",
+     &SweepFlags::samples},
+    {"--engine", "KIND",
+     "restrict the engines dataset to one engine\nkind (default: all)",
+     &SweepFlags::engine},
+    {"--threads", "N",
+     "worker threads (0 = hardware); output is\nbyte-identical for every "
+     "value",
+     &SweepFlags::threads},
+};
 
 void emit_fig(double p, std::size_t samples, vds::runtime::ThreadPool& pool) {
   const vds::model::GainSurface surface(
@@ -253,33 +267,14 @@ void emit_reliability(vds::runtime::ThreadPool& pool) {
 }
 
 int run_sweep(int argc, char** argv) {
-  std::string dataset;
-  std::string engine_filter;
-  std::size_t samples = 11;
-  unsigned threads = 0;
+  SweepFlags flags;
   vds::scenario::Observability observability;
-  vds::scenario::ArgCursor args(argc, argv);
-  while (!args.done()) {
-    const std::string arg(args.next());
-    if (arg == "--dataset") {
-      dataset = std::string(args.value(arg));
-    } else if (arg == "--engine") {
-      engine_filter = std::string(args.value(arg));
-    } else if (arg == "--samples") {
-      samples = static_cast<std::size_t>(args.value_u64(arg));
-    } else if (arg == "--threads") {
-      threads = args.value_unsigned(arg);
-    } else if (vds::scenario::apply_observability_flag(observability, arg,
-                                                       args)) {
-      // handled by the shared observability parser
-    } else if (arg == "--help" || arg == "-h") {
-      std::fputs(kUsage, stdout);
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown option '%s'\n%s", arg.c_str(), kUsage);
-      return 2;
-    }
-  }
+  vds::scenario::CommandLine cli(kUsageHead, kUsageTail);
+  cli.add("sweep", kSweepFlags, flags)
+      .add("observability", vds::scenario::observability_fields(),
+           observability);
+  if (!cli.parse(argc, argv)) return 0;
+  const std::string& dataset = flags.dataset;
 
   // Validate before arming anything so the error is pure usage: the
   // canonical bad_value shape names both the flag and the value.
@@ -296,21 +291,21 @@ int run_sweep(int argc, char** argv) {
   std::vector<vds::scenario::EngineKind> engine_kinds(
       std::begin(vds::scenario::kAllEngineKinds),
       std::end(vds::scenario::kAllEngineKinds));
-  if (!engine_filter.empty()) {
+  if (!flags.engine.empty()) {
     try {
-      engine_kinds = {vds::scenario::parse_engine_kind(engine_filter)};
+      engine_kinds = {vds::scenario::parse_engine_kind(flags.engine)};
     } catch (const std::invalid_argument&) {
-      vds::scenario::bad_value("--engine", engine_filter,
+      vds::scenario::bad_value("--engine", flags.engine,
                                vds::scenario::engine_kind_list());
     }
   }
 
   observability.arm();
-  vds::runtime::ThreadPool pool(threads);
+  vds::runtime::ThreadPool pool(flags.threads);
   if (dataset == "fig4") {
-    emit_fig(0.5, samples, pool);
+    emit_fig(0.5, flags.samples, pool);
   } else if (dataset == "fig5") {
-    emit_fig(1.0, samples, pool);
+    emit_fig(1.0, flags.samples, pool);
   } else if (dataset == "gmax") {
     emit_gmax(pool);
   } else if (dataset == "schemes") {
