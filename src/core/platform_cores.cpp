@@ -95,14 +95,14 @@ void ConventionalCore::step_round() {
 
   // Version in slot A computes its round.
   record(TraceKind::kRoundStart, [&] {
-    return TraceText{"V" + std::to_string(a_.version_id),
-                     "round " + std::to_string(round)};
+    return TraceText{numbered("V", a_.version_id),
+                     numbered("round ", round)};
   });
   vset_.advance(a_.state, round, a_.version_id);
   drain(clock_, clock_ + opt_.t, &a_);
   clock_ += opt_.t;
   record(TraceKind::kRoundEnd, [&] {
-    return TraceText{"V" + std::to_string(a_.version_id), ""};
+    return TraceText{numbered("V", a_.version_id), ""};
   });
   if (handle_processor_crash()) return;
 
@@ -114,14 +114,14 @@ void ConventionalCore::step_round() {
 
   // Version in slot B computes its round.
   record(TraceKind::kRoundStart, [&] {
-    return TraceText{"V" + std::to_string(b_.version_id),
-                     "round " + std::to_string(round)};
+    return TraceText{numbered("V", b_.version_id),
+                     numbered("round ", round)};
   });
   vset_.advance(b_.state, round, b_.version_id);
   drain(clock_, clock_ + opt_.t, &b_);
   clock_ += opt_.t;
   record(TraceKind::kRoundEnd, [&] {
-    return TraceText{"V" + std::to_string(b_.version_id), ""};
+    return TraceText{numbered("V", b_.version_id), ""};
   });
   if (handle_processor_crash()) return;
 
@@ -200,9 +200,9 @@ void SmtCore::step_round() {
 
   // Both versions compute their round in parallel hardware threads.
   record(TraceKind::kRoundStart, [&] {
-    return TraceText{"HT", "round " + std::to_string(round) + " V" +
-                               std::to_string(a_.version_id) + "||V" +
-                               std::to_string(b_.version_id)};
+    return TraceText{"HT", numbered("round ", round) +
+                               numbered(" V", a_.version_id) +
+                               numbered("||V", b_.version_id)};
   });
   vset_.advance(a_.state, round, a_.version_id);
   vset_.advance(b_.state, round, b_.version_id);

@@ -17,8 +17,7 @@ ProtocolCore::ProtocolCore(const VdsOptions& options, vds::sim::Rng& rng,
     : RunLoop(options), opt_(options), rng_(rng), timeline_(timeline),
       trace_(trace), vset_(options),
       store_({options.checkpoint_write_latency,
-              options.checkpoint_read_latency},
-             /*keep_last=*/2),
+              options.checkpoint_read_latency}),
       policy_(policy) {
   a_.state = vset_.initial_state();
   b_.state = a_.state;
@@ -73,25 +72,24 @@ void ProtocolCore::maybe_checkpoint() {
   store_.save(base_ + i_, a_.state, clock_);
   commit_checkpoint();
   record(TraceKind::kCheckpoint, [&] {
-    return TraceText{"VDS", "round " + std::to_string(base_)};
+    return TraceText{"VDS", numbered("round ", base_)};
   });
 }
 
 void ProtocolCore::rollback() {
   drain_background(clock_, clock_ + opt_.checkpoint_read_latency);
   roll_back();
-  const auto checkpoint = store_.latest();
-  a_.state = checkpoint->state;
-  b_.state = checkpoint->state;
+  const VersionState& checkpoint = store_.latest()->state;
+  a_.state = checkpoint;
+  b_.state = checkpoint;
   a_.crashed = b_.crashed = false;
   clear_pending();
   record(TraceKind::kRollback, [&] {
-    return TraceText{"VDS", "to round " + std::to_string(base_)};
+    return TraceText{"VDS", numbered("to round ", base_)};
   });
   if (count_failure(opt_.max_consecutive_failures)) {
     record(TraceKind::kFailSafeShutdown, [&] {
-      return TraceText{"VDS", "after " +
-                                  std::to_string(consecutive_failures_) +
+      return TraceText{"VDS", numbered("after ", consecutive_failures_) +
                                   " consecutive failures"};
     });
   }
@@ -117,7 +115,7 @@ void ProtocolCore::compare_and_dispatch(std::uint64_t round) {
       vds::fault::compare_states(a_.state, b_.state) ==
           vds::fault::CompareOutcome::kMismatch;
   record(mismatch ? TraceKind::kCompareMismatch : TraceKind::kCompare,
-         [&] { return TraceText{"VDS", "round " + std::to_string(round)}; });
+         [&] { return TraceText{"VDS", numbered("round ", round)}; });
 
   if (!mismatch) {
     ++i_;
@@ -128,7 +126,7 @@ void ProtocolCore::compare_and_dispatch(std::uint64_t round) {
 
   ++rep_.detections;
   record(TraceKind::kFaultDetected, [&] {
-    return TraceText{"VDS", "at round " + std::to_string(i_ + 1)};
+    return TraceText{"VDS", numbered("at round ", i_ + 1)};
   });
   if (pending_since_ >= 0.0) {
     rep_.detection_latency.add(clock_ - pending_since_);

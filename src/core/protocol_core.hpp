@@ -36,6 +36,15 @@ struct TraceText {
   std::string detail;
 };
 
+/// `prefix` with `n` appended in decimal ("V", 3 gives "V3"). Trace
+/// labels append the number to the text; prepending a literal to a
+/// std::to_string temporary trips GCC 12's -Wrestrict at -O3.
+template <typename Number>
+[[nodiscard]] std::string numbered(std::string prefix, Number n) {
+  prefix += std::to_string(n);
+  return prefix;
+}
+
 /// Strategy executed when a round comparison mismatches (paper §3/§4).
 /// Concrete policies: RollbackPolicy (checkpoint restart, both
 /// platforms), StopAndRetryPolicy (the conventional-processor serial

@@ -82,8 +82,8 @@ void StopAndRetryPolicy::recover(ProtocolCore& core) {
   auto& c = static_cast<ConventionalCore&>(core);
   const std::uint64_t ic = c.i_ + 1;  // mismatch found at round ic
   c.record(TraceKind::kRetryStart, [&] {
-    return TraceText{"V" + std::to_string(c.spare_id_),
-                     "replay " + std::to_string(ic) + " rounds"};
+    return TraceText{numbered("V", c.spare_id_),
+                     numbered("replay ", ic) + " rounds"};
   });
 
   // Version 3 loads the checkpoint...
@@ -103,7 +103,7 @@ void StopAndRetryPolicy::recover(ProtocolCore& core) {
   }
   if (c.handle_processor_crash()) return;
   c.record(TraceKind::kRetryEnd, [&] {
-    return TraceText{"V" + std::to_string(c.spare_id_), ""};
+    return TraceText{numbered("V", c.spare_id_), ""};
   });
 
   // Majority vote: two comparisons.
@@ -129,7 +129,7 @@ void StopAndRetryPolicy::recover(ProtocolCore& core) {
   EngineSlot& faulty = s_matches_a ? c.b_ : c.a_;
   c.record(TraceKind::kMajorityVote, [&] {
     return TraceText{"VDS",
-                     "V" + std::to_string(faulty.version_id) + " faulty"};
+                     numbered("V", faulty.version_id) + " faulty"};
   });
 
   // The fault-free retry state replaces the faulty version; version 3
@@ -138,7 +138,7 @@ void StopAndRetryPolicy::recover(ProtocolCore& core) {
   faulty.crashed = false;
   std::swap(faulty.version_id, c.spare_id_);
   c.record(TraceKind::kStateCopy, [&] {
-    return TraceText{"VDS", "V" + std::to_string(faulty.version_id) +
+    return TraceText{"VDS", numbered("V", faulty.version_id) +
                                 " joins duplex"};
   });
 
@@ -248,8 +248,6 @@ void SmtRecoveryPolicy::recover(ProtocolCore& core) {
   if (consult_predictor) {
     evidence.round = c.base_ + ic;
     evidence.location = c.pending_location_;
-    evidence.digest_v1 = c.a_.state.digest();
-    evidence.digest_v2 = c.b_.state.digest();
     if (c.a_.crashed) evidence.crashed = VersionGuess::kVersion1;
     if (c.b_.crashed) evidence.crashed = VersionGuess::kVersion2;
     // An oracle predictor is told the ground truth out-of-band.
@@ -271,13 +269,13 @@ void SmtRecoveryPolicy::recover(ProtocolCore& core) {
                      c.clock_ + c.opt_.checkpoint_read_latency);
   c.clock_ += c.opt_.checkpoint_read_latency;
   c.record(TraceKind::kRetryStart, [&] {
-    return TraceText{"T1", "V" + std::to_string(c.spare_id_) + " replays " +
-                               std::to_string(ic) + " rounds"};
+    return TraceText{"T1", numbered("V", c.spare_id_) +
+                               numbered(" replays ", ic) + " rounds"};
   });
   if (rf > 0) {
     c.record(TraceKind::kRollForwardStart, [&] {
       return TraceText{"T2", std::string(to_string(scheme)) +
-                                 " rf=" + std::to_string(rf)};
+                                 numbered(" rf=", rf)};
     });
   }
 
@@ -422,7 +420,7 @@ void SmtRecoveryPolicy::recover(ProtocolCore& core) {
   EngineSlot& faulty = faulty_slot == 0 ? c.a_ : c.b_;
   c.record(TraceKind::kMajorityVote, [&] {
     return TraceText{"VDS",
-                     "V" + std::to_string(faulty.version_id) + " faulty"};
+                     numbered("V", faulty.version_id) + " faulty"};
   });
 
   // Predictor bookkeeping.
@@ -440,7 +438,7 @@ void SmtRecoveryPolicy::recover(ProtocolCore& core) {
   faulty.crashed = false;
   std::swap(faulty.version_id, c.spare_id_);
   c.record(TraceKind::kStateCopy, [&] {
-    return TraceText{"VDS", "V" + std::to_string(faulty.version_id) +
+    return TraceText{"VDS", numbered("V", faulty.version_id) +
                                 " joins duplex"};
   });
 
@@ -479,7 +477,7 @@ void SmtRecoveryPolicy::recover(ProtocolCore& core) {
     ++c.rep_.roll_forwards_kept;
     c.rep_.roll_forward_rounds_gained += progress;
     c.record(TraceKind::kRollForwardEnd, [&] {
-      return TraceText{"T2", "kept " + std::to_string(progress) + " rounds"};
+      return TraceText{"T2", numbered("kept ", progress) + " rounds"};
     });
   } else if (rf > 0) {
     ++c.rep_.roll_forwards_discarded;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "checkpoint/state.hpp"
 
@@ -45,13 +44,5 @@ enum class VoteOutcome : std::uint8_t {
     const vds::checkpoint::VersionState& p,
     const vds::checkpoint::VersionState& q,
     const vds::checkpoint::VersionState& s) noexcept;
-
-/// Statistics a detector accumulates across a run.
-struct DetectionStats {
-  std::uint64_t comparisons = 0;
-  std::uint64_t mismatches = 0;
-  std::uint64_t votes = 0;
-  std::uint64_t no_majority = 0;
-};
 
 }  // namespace vds::fault

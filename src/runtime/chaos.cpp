@@ -128,8 +128,4 @@ bool Chaos::fires(std::string_view site, std::uint64_t key,
   return false;
 }
 
-std::vector<std::string_view> Chaos::known_sites() {
-  return {std::begin(kKnownSites), std::end(kKnownSites)};
-}
-
 }  // namespace vds::runtime

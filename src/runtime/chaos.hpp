@@ -55,9 +55,6 @@ class Chaos {
   /// The spec this instance was parsed from ("" when disarmed).
   [[nodiscard]] const std::string& spec() const noexcept { return spec_; }
 
-  /// All site names parse() accepts, for usage text.
-  [[nodiscard]] static std::vector<std::string_view> known_sites();
-
  private:
   struct Site {
     std::string name;

@@ -2,7 +2,7 @@
 
 #include <iterator>
 #include <ostream>
-#include <sstream>
+#include <ostream>
 #include <stdexcept>
 
 #include "runtime/json_writer.hpp"
@@ -155,12 +155,6 @@ void Scenario::to_json(std::ostream& os) const {
 
 void Scenario::write_json(runtime::JsonWriter& json) const {
   write_fields(json, scenario_fields(), *this);
-}
-
-std::string Scenario::to_json_string() const {
-  std::ostringstream os;
-  to_json(os);
-  return os.str();
 }
 
 Scenario Scenario::from_json(std::string_view text) {

@@ -105,7 +105,6 @@ struct Scenario {
 
   /// Serializes as a vds.scenario.v1 JSON document.
   void to_json(std::ostream& os) const;
-  [[nodiscard]] std::string to_json_string() const;
 
   /// Writes the same document through an existing writer — lets a
   /// caller embed the scenario object inside a larger envelope (the

@@ -34,10 +34,6 @@ double Accumulator::sem() const noexcept {
   return stddev() / std::sqrt(static_cast<double>(n_));
 }
 
-double Accumulator::ci_halfwidth(double z) const noexcept {
-  return z * sem();
-}
-
 double Accumulator::ci_halfwidth_t(double confidence) const noexcept {
   if (n_ < 2) return 0.0;
   const double s = sem();
@@ -242,8 +238,6 @@ double Histogram::bin_lo(std::size_t i) const {
   return lo_ + width_ * static_cast<double>(i);
 }
 
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i) + width_; }
-
 double Histogram::quantile(double q) const {
   q = std::clamp(q, 0.0, 1.0);
   const std::uint64_t ranked = total_ - nan_;  // NaN has no rank
@@ -270,7 +264,7 @@ std::string Histogram::to_string(std::size_t bar_width) const {
     const auto stars = static_cast<std::size_t>(
         static_cast<double>(counts_[i]) / static_cast<double>(peak) *
         static_cast<double>(bar_width));
-    os << '[' << bin_lo(i) << ", " << bin_hi(i) << ") "
+    os << '[' << bin_lo(i) << ", " << bin_lo(i) + width_ << ") "
        << std::string(stars, '#') << ' ' << counts_[i] << '\n';
   }
   if (under_ != 0) os << "underflow " << under_ << '\n';

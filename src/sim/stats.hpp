@@ -24,10 +24,6 @@ class Accumulator {
   [[nodiscard]] double max() const noexcept { return n_ ? max_ : 0.0; }
   [[nodiscard]] double sum() const noexcept { return sum_; }
 
-  /// Half-width of a normal-approximation confidence interval at the
-  /// given z (default 1.96 ~ 95%).
-  [[nodiscard]] double ci_halfwidth(double z = 1.96) const noexcept;
-
   /// Half-width of a Student-t confidence interval at the given
   /// two-sided confidence level (0.95 = 95%). Uses n-1 degrees of
   /// freedom; 0 for fewer than two samples (no variance estimate
@@ -76,7 +72,6 @@ class Histogram {
   [[nodiscard]] std::uint64_t nan_count() const noexcept { return nan_; }
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
   [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] double bin_hi(std::size_t i) const;
 
   /// Approximate quantile (q in [0,1]) by linear interpolation within
   /// the containing bin. Underflow/overflow mass sits at lo/hi. NaN

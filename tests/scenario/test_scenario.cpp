@@ -1,5 +1,6 @@
 #include "scenario/scenario.hpp"
 
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -11,6 +12,12 @@
 
 namespace vds::scenario {
 namespace {
+
+std::string json_of(const Scenario& scenario) {
+  std::ostringstream os;
+  scenario.to_json(os);
+  return os.str();
+}
 
 TEST(EngineKindNames, ExhaustiveRoundTrip) {
   for (const EngineKind kind : kAllEngineKinds) {
@@ -62,10 +69,10 @@ TEST(Scenario, JsonRoundTripPreservesEveryField) {
   scenario.dme_decorrelation = 0.9;
   scenario.dme_common_mode = 0.1;
 
-  const Scenario parsed = Scenario::from_json(scenario.to_json_string());
+  const Scenario parsed = Scenario::from_json(json_of(scenario));
   EXPECT_EQ(parsed, scenario);
   // Serialization is canonical: round-tripping again is bytewise stable.
-  EXPECT_EQ(parsed.to_json_string(), scenario.to_json_string());
+  EXPECT_EQ(json_of(parsed), json_of(scenario));
 }
 
 TEST(Scenario, FromJsonAppliesDefaultsForAbsentFields) {
@@ -257,17 +264,17 @@ TEST(Scenario, FingerprintChangesWithAnyField) {
   const Scenario base;
   Scenario changed = base;
   changed.seed = 2;
-  EXPECT_NE(base.to_json_string(), changed.to_json_string());
+  EXPECT_NE(json_of(base), json_of(changed));
   changed = base;
   changed.engine = EngineKind::kSrt;
-  EXPECT_NE(base.to_json_string(), changed.to_json_string());
+  EXPECT_NE(json_of(base), json_of(changed));
   changed = base;
   changed.replay_window = 8;
-  EXPECT_NE(base.to_json_string(), changed.to_json_string());
+  EXPECT_NE(json_of(base), json_of(changed));
   changed = base;
   changed.dme_decorrelation = 0.75;
-  EXPECT_NE(base.to_json_string(), changed.to_json_string());
-  EXPECT_EQ(base.to_json_string(), Scenario{}.to_json_string());
+  EXPECT_NE(json_of(base), json_of(changed));
+  EXPECT_EQ(json_of(base), json_of(Scenario{}));
 }
 
 }  // namespace
