@@ -129,11 +129,4 @@ vds::core::RunReport PhysicalDuplex::run(vds::fault::FaultTimeline& timeline,
   return duplex.run([&duplex] { duplex.step(); }, [] {});
 }
 
-double PhysicalDuplex::per_processor_throughput(
-    const vds::core::RunReport& report, const DuplexConfig& config) {
-  if (report.total_time <= 0.0) return 0.0;
-  return static_cast<double>(report.rounds_committed) /
-         (report.total_time * static_cast<double>(config.processors));
-}
-
 }  // namespace vds::baseline

@@ -44,11 +44,6 @@ class PhysicalDuplex final : public vds::core::Engine {
     return config_;
   }
 
-  /// Useful rounds per unit time per processor -- the cost-adjusted
-  /// throughput used for the VDS-vs-duplex comparison.
-  [[nodiscard]] static double per_processor_throughput(
-      const vds::core::RunReport& report, const DuplexConfig& config);
-
  private:
   DuplexConfig config_;
   vds::sim::Rng rng_;

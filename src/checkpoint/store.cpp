@@ -8,7 +8,7 @@ double CheckpointStore::save(std::uint64_t round, const VersionState& state,
   checkpoint.round = round;
   checkpoint.state = state;  // reuses the previous checkpoint's words
   checkpoint.saved_at = now;
-  return latency_.write;
+  return write_latency_;
 }
 
 }  // namespace vds::checkpoint

@@ -16,8 +16,7 @@ ProtocolCore::ProtocolCore(const VdsOptions& options, vds::sim::Rng& rng,
                            vds::sim::Trace* trace, RecoveryPolicy& policy)
     : RunLoop(options), opt_(options), rng_(rng), timeline_(timeline),
       trace_(trace), vset_(options),
-      store_({options.checkpoint_write_latency,
-              options.checkpoint_read_latency}),
+      store_(options.checkpoint_write_latency),
       policy_(policy) {
   a_.state = vset_.initial_state();
   b_.state = a_.state;

@@ -43,16 +43,6 @@ class VersionSet {
   /// versions *identically* (diversity failed): undetectable.
   void set_permanent(std::uint32_t location, bool exposed,
                      std::uint8_t affected_mask = 0b111) noexcept;
-  [[nodiscard]] bool permanent_active() const noexcept {
-    return permanent_.has_value();
-  }
-  [[nodiscard]] bool permanent_exposed() const noexcept {
-    return permanent_ && permanent_->exposed;
-  }
-  [[nodiscard]] bool permanent_affects(int version_id) const noexcept {
-    return permanent_ &&
-           (permanent_->affected_mask >> (version_id - 1)) & 1u;
-  }
 
   /// Golden fault-free state after `round` rounds, as a clean tag.
   /// Must be called with non-decreasing `round` values.

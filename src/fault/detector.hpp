@@ -12,16 +12,6 @@ enum class CompareOutcome : std::uint8_t {
   kMismatch,  ///< states differ: fault detected, identity unknown
 };
 
-/// Outcome of a 2-out-of-3 majority vote among states P (version 1),
-/// Q (version 2) and S (retried version 3).
-enum class VoteOutcome : std::uint8_t {
-  kVersion1Faulty,  ///< Q == S != P
-  kVersion2Faulty,  ///< P == S != Q
-  kNoMajority,      ///< all three differ: fault during retry, or a
-                    ///< permanent fault defeating diversity -> rollback
-  kAllAgree,        ///< P == Q == S (vote called without a real fault)
-};
-
 /// The one state-comparison rule of every engine: two states match iff
 /// their digests match. Equal words imply equal digests, so the exact
 /// word compare answers the common (fault-free) case and the digest is
@@ -38,11 +28,5 @@ enum class VoteOutcome : std::uint8_t {
 [[nodiscard]] CompareOutcome compare_states(
     const vds::checkpoint::VersionState& a,
     const vds::checkpoint::VersionState& b) noexcept;
-
-/// Majority vote over the three candidate states, by states_match().
-[[nodiscard]] VoteOutcome majority_vote(
-    const vds::checkpoint::VersionState& p,
-    const vds::checkpoint::VersionState& q,
-    const vds::checkpoint::VersionState& s) noexcept;
 
 }  // namespace vds::fault

@@ -79,12 +79,4 @@ FaultTimeline generate_timeline(const FaultConfig& config,
   return FaultTimeline(std::move(faults));
 }
 
-FaultTimeline single_fault_at(const FaultConfig& config, vds::sim::Rng& rng,
-                              vds::sim::SimTime when) {
-  config.validate();
-  Fault fault = sample_fault_body(config, rng);
-  fault.when = when;
-  return FaultTimeline({fault});
-}
-
 }  // namespace vds::fault

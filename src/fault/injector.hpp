@@ -62,11 +62,4 @@ class FaultTimeline {
                                               vds::sim::Rng& rng,
                                               vds::sim::SimTime horizon);
 
-/// Generates exactly one fault at the given time (deterministic body
-/// attributes drawn from `rng`). Used by the paired per-round-i
-/// validation experiments (E8).
-[[nodiscard]] FaultTimeline single_fault_at(const FaultConfig& config,
-                                            vds::sim::Rng& rng,
-                                            vds::sim::SimTime when);
-
 }  // namespace vds::fault

@@ -36,16 +36,6 @@ class GainSurface {
               runtime::ThreadPool* pool = nullptr);
 
   [[nodiscard]] double at(std::size_t ai, std::size_t bi) const;
-  [[nodiscard]] double alpha_at(std::size_t ai) const noexcept {
-    return alpha_.at(ai);
-  }
-  [[nodiscard]] double beta_at(std::size_t bi) const noexcept {
-    return beta_.at(bi);
-  }
-  [[nodiscard]] std::size_t alpha_samples() const noexcept {
-    return alpha_.n;
-  }
-  [[nodiscard]] std::size_t beta_samples() const noexcept { return beta_.n; }
   [[nodiscard]] double p() const noexcept { return p_; }
   [[nodiscard]] int s() const noexcept { return s_; }
 

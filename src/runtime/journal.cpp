@@ -711,8 +711,7 @@ Journal::~Journal() {
 void Journal::append(const JournalRecord& record) {
   static auto& appends = metrics::registry().counter(
       "journal.appends", metrics::Determinism::kDeterministic);
-  static auto& append_ms =
-      metrics::registry().timing("journal.append_ms", 0.0, 50.0, 64);
+  static auto& append_ms = metrics::registry().timing("journal.append_ms");
   const metrics::Span span("journal.append", "journal", record.index);
   const metrics::ScopedTimer timer(append_ms);
   appends.add();

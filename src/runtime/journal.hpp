@@ -176,7 +176,6 @@ class Journal {
 
   /// The format appends go out in (the file's own format once it has
   /// a header, else the requested one).
-  [[nodiscard]] JournalFormat format() const noexcept { return format_; }
 
   /// Arms write-side chaos sites (`journal.corrupt` flips a bit in
   /// the record body, `journal.torn` truncates the record mid-write;

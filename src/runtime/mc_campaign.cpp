@@ -50,7 +50,7 @@ McCounters& mc_counters() {
       reg.counter("mc.cells_quarantined", Determinism::kDeterministic),
       reg.counter("mc.cells_skipped", Determinism::kScheduling),
       reg.counter("mc.records_corrupt", Determinism::kDeterministic),
-      reg.timing("mc.cell_attempt_ms", 0.0, 250.0, 128),
+      reg.timing("mc.cell_attempt_ms"),
   };
   return counters;
 }

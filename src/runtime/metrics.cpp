@@ -79,85 +79,31 @@ struct Timing::Impl {
   struct alignas(64) Shard {
     std::mutex mutex;
     sim::Histogram histogram;
-    sim::Accumulator acc;
-    Shard(double lo, double hi, std::size_t bins) : histogram(lo, hi, bins) {}
   };
 
-  Impl(double lo, double hi, std::size_t bins)
-      : lo_(lo), hi_(hi), bins_(bins) {
-    shards_.reserve(kShards);
-    for (std::size_t i = 0; i < kShards; ++i) {
-      shards_.push_back(std::make_unique<Shard>(lo, hi, bins));
-    }
-  }
-
   void record(double ms) noexcept {
-    Shard& s = *shards_[this_thread_shard() % kShards];
+    Shard& s = shards_[this_thread_shard() % kShards];
     const std::lock_guard<std::mutex> lock(s.mutex);
     s.histogram.add(ms);
-    s.acc.add(ms);
   }
 
   void reset() {
-    for (auto& s : shards_) {
-      const std::lock_guard<std::mutex> lock(s->mutex);
-      s->histogram = sim::Histogram(lo_, hi_, bins_);
-      s->acc.reset();
+    for (Shard& s : shards_) {
+      const std::lock_guard<std::mutex> lock(s.mutex);
+      s.histogram = sim::Histogram{};
     }
   }
 
-  /// Shard histograms merged into one flat view for serialization.
-  struct Merged {
-    std::vector<std::uint64_t> counts;
-    std::uint64_t under = 0;
-    std::uint64_t over = 0;
-    std::uint64_t nan = 0;
-    std::uint64_t total = 0;
-    sim::Accumulator acc;
-  };
-
-  [[nodiscard]] Merged merge() const {
-    Merged m;
-    m.counts.assign(bins_, 0);
-    for (const auto& s : shards_) {
-      const std::lock_guard<std::mutex> lock(s->mutex);
-      for (std::size_t i = 0; i < bins_; ++i) {
-        m.counts[i] += s->histogram.bin_count(i);
-      }
-      m.under += s->histogram.underflow();
-      m.over += s->histogram.overflow();
-      m.nan += s->histogram.nan_count();
-      m.total += s->histogram.total();
-      m.acc.merge(s->acc);
+  [[nodiscard]] sim::Histogram merged() {
+    sim::Histogram all;
+    for (Shard& s : shards_) {
+      const std::lock_guard<std::mutex> lock(s.mutex);
+      all.merge(s.histogram);
     }
-    return m;
+    return all;
   }
 
-  /// Same algorithm as sim::Histogram::quantile, over the merged bins
-  /// (NaN samples carry no rank; under/overflow mass sits at lo/hi).
-  [[nodiscard]] double quantile(const Merged& m, double q) const {
-    q = std::clamp(q, 0.0, 1.0);
-    const std::uint64_t ranked = m.total - m.nan;
-    if (ranked == 0) return lo_;
-    const double target = q * static_cast<double>(ranked);
-    double cum = static_cast<double>(m.under);
-    if (target <= cum) return lo_;
-    const double width = (hi_ - lo_) / static_cast<double>(bins_);
-    for (std::size_t i = 0; i < bins_; ++i) {
-      const double c = static_cast<double>(m.counts[i]);
-      if (cum + c >= target && c > 0) {
-        const double frac = (target - cum) / c;
-        return lo_ + width * (static_cast<double>(i) + frac);
-      }
-      cum += c;
-    }
-    return hi_;
-  }
-
-  double lo_;
-  double hi_;
-  std::size_t bins_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::array<Shard, kShards> shards_;
 };
 
 void Timing::record_ms(double ms) noexcept {
@@ -304,12 +250,11 @@ Counter& Registry::counter(std::string_view name, Determinism determinism) {
   return *it->second.counter;
 }
 
-Timing& Registry::timing(std::string_view name, double lo_ms, double hi_ms,
-                         std::size_t bins) {
+Timing& Registry::timing(std::string_view name) {
   const std::lock_guard<std::mutex> lock(impl_->mutex);
   auto it = impl_->timings.find(name);
   if (it == impl_->timings.end()) {
-    auto impl = std::make_unique<Timing::Impl>(lo_ms, hi_ms, bins);
+    auto impl = std::make_unique<Timing::Impl>();
     std::unique_ptr<Timing> handle(new Timing(impl.get()));
     it = impl_->timings
              .emplace(std::string(name),
@@ -370,20 +315,21 @@ void Registry::write_snapshot(std::ostream& os) const {
   json.key("timings_ms");
   json.begin_object();
   for (const auto& [name, entry] : impl_->timings) {
-    const Timing::Impl::Merged m = entry.impl->merge();
+    const sim::Histogram h = entry.impl->merged();
+    const sim::Accumulator& acc = h.accumulator();
     json.key(name);
     json.begin_object();
-    json.field("count", m.total);
-    json.field("mean", m.acc.mean());
-    json.field("stddev", m.acc.stddev());
-    json.field("min", m.acc.min());
-    json.field("max", m.acc.max());
-    json.field("p50", entry.impl->quantile(m, 0.50));
-    json.field("p90", entry.impl->quantile(m, 0.90));
-    json.field("p99", entry.impl->quantile(m, 0.99));
-    json.field("underflow", m.under);
-    json.field("overflow", m.over);
-    json.field("nan", m.nan);
+    json.field("count", h.total());
+    json.field("mean", acc.mean());
+    json.field("stddev", acc.stddev());
+    json.field("min", acc.min());
+    json.field("max", acc.max());
+    json.field("p50", h.quantile(0.50));
+    json.field("p90", h.quantile(0.90));
+    json.field("p99", h.quantile(0.99));
+    json.field("underflow", h.underflow());
+    json.field("overflow", h.overflow());
+    json.field("nan", h.nan_count());
     json.end_object();
   }
   json.end_object();

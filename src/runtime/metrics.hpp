@@ -1,7 +1,7 @@
 #pragma once
 
 // Low-overhead observability layer: thread-sharded monotonic counters,
-// wall-clock timing histograms (reusing stats::Histogram) and RAII
+// wall-clock timing histograms (sim::Histogram) and RAII
 // trace spans, collected in one process-wide registry and serialized
 // as a `vds.metrics.v1` JSON snapshot plus a Chrome trace-event file
 // (loadable in chrome://tracing and Perfetto).
@@ -83,9 +83,9 @@ class Counter {
   std::array<Shard, kShards> shards_;
 };
 
-/// Wall-clock timing distribution: sharded (mutex + stats::Histogram
-/// + stats::Accumulator) pairs, merged at snapshot time. Recording is
-/// a no-op while the registry is disabled.
+/// Wall-clock timing distribution: sharded (mutex + sim::Histogram)
+/// pairs, merged at snapshot time. Recording is a no-op while the
+/// registry is disabled.
 class Timing {
  public:
   void record_ms(double ms) noexcept;
@@ -143,11 +143,9 @@ class Registry {
   /// process; re-registering with a different one keeps the first.
   Counter& counter(std::string_view name, Determinism determinism);
 
-  /// Get-or-create a timing histogram over [lo_ms, hi_ms) with `bins`
-  /// fixed-width bins (out-of-range samples land in the histogram's
-  /// underflow/overflow bins; the accumulator still sees them).
-  Timing& timing(std::string_view name, double lo_ms, double hi_ms,
-                 std::size_t bins);
+  /// Get-or-create a timing histogram (sim::Histogram: any duration
+  /// from 1 ns to 70 min, quantiles within 1.6 %).
+  Timing& timing(std::string_view name);
 
   /// Master switch for counters and timings (default off).
   void set_enabled(bool on) noexcept;
@@ -229,7 +227,7 @@ class Registry {
   Counter& counter(std::string_view, Determinism) noexcept {
     return counter_;
   }
-  Timing& timing(std::string_view, double, double, std::size_t) noexcept {
+  Timing& timing(std::string_view) noexcept {
     return timing_;
   }
   void set_enabled(bool) noexcept {}

@@ -40,13 +40,12 @@ metrics::Counter& idle_waits_counter() {
 }
 
 metrics::Timing& idle_wait_timing() {
-  static auto& t =
-      metrics::registry().timing("pool.idle_wait_ms", 0.0, 100.0, 64);
+  static auto& t = metrics::registry().timing("pool.idle_wait_ms");
   return t;
 }
 
 metrics::Timing& task_timing() {
-  static auto& t = metrics::registry().timing("pool.task_ms", 0.0, 250.0, 128);
+  static auto& t = metrics::registry().timing("pool.task_ms");
   return t;
 }
 

@@ -10,18 +10,12 @@
 namespace vds::scenario {
 
 /// Malformed JSON input (syntax error, wrong type, out-of-range
-/// number). Carries a byte offset for pointing at the problem.
+/// number). The message names the byte offset of the problem.
 class JsonError : public std::runtime_error {
  public:
   JsonError(const std::string& what, std::size_t offset)
       : std::runtime_error(what + " (at byte " + std::to_string(offset) +
-                           ")"),
-        offset_(offset) {}
-
-  [[nodiscard]] std::size_t offset() const noexcept { return offset_; }
-
- private:
-  std::size_t offset_;
+                           ")") {}
 };
 
 /// Minimal JSON document model, the read-side counterpart of

@@ -32,8 +32,8 @@ ServeCounters& serve_counters() {
       reg.counter("serve.requests_rejected", Determinism::kScheduling),
       reg.counter("serve.requests_completed", Determinism::kScheduling),
       reg.counter("serve.batches", Determinism::kScheduling),
-      reg.timing("serve.queue_ms", 0.0, 1000.0, 128),
-      reg.timing("serve.service_ms", 0.0, 10000.0, 256),
+      reg.timing("serve.queue_ms"),
+      reg.timing("serve.service_ms"),
   };
   return counters;
 }
@@ -168,10 +168,8 @@ void Server::record_done(const Pending& pending,
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++counts_.completed;
-    queue_acc_.add(queue_ms);
-    queue_hist_.add(queue_ms);
-    service_acc_.add(service_ms);
-    service_hist_.add(service_ms);
+    queue_ms_.add(queue_ms);
+    service_ms_.add(service_ms);
   }
   serve_counters().completed.add();
   serve_counters().queue_ms.record_ms(queue_ms);
@@ -330,14 +328,14 @@ StatsSnapshot Server::stats_snapshot() {
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     snapshot = counts_;
-    snapshot.queue_count = queue_acc_.count();
-    snapshot.queue_mean = queue_acc_.mean();
-    snapshot.queue_p50 = queue_hist_.quantile(0.5);
-    snapshot.queue_p99 = queue_hist_.quantile(0.99);
-    snapshot.service_count = service_acc_.count();
-    snapshot.service_mean = service_acc_.mean();
-    snapshot.service_p50 = service_hist_.quantile(0.5);
-    snapshot.service_p99 = service_hist_.quantile(0.99);
+    snapshot.queue_count = queue_ms_.accumulator().count();
+    snapshot.queue_mean = queue_ms_.accumulator().mean();
+    snapshot.queue_p50 = queue_ms_.quantile(0.5);
+    snapshot.queue_p99 = queue_ms_.quantile(0.99);
+    snapshot.service_count = service_ms_.accumulator().count();
+    snapshot.service_mean = service_ms_.accumulator().mean();
+    snapshot.service_p50 = service_ms_.quantile(0.5);
+    snapshot.service_p99 = service_ms_.quantile(0.99);
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);

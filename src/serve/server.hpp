@@ -113,11 +113,9 @@ class Server {
   bool stop_ = false;
 
   std::mutex stats_mutex_;
-  StatsSnapshot counts_;  // distribution fields unused; see hists
-  vds::sim::Accumulator queue_acc_;
-  vds::sim::Histogram queue_hist_{0.0, 1000.0, 128};
-  vds::sim::Accumulator service_acc_;
-  vds::sim::Histogram service_hist_{0.0, 10000.0, 256};
+  StatsSnapshot counts_;  // distribution fields unused; see below
+  vds::sim::Histogram queue_ms_;
+  vds::sim::Histogram service_ms_;
 
   std::thread dispatcher_;
 };

@@ -157,7 +157,6 @@ void FdSink::write_line(const std::string& line) {
       // failure once — a fabric worker uses this to tell a dead
       // coordinator from a slow one, and vds_serve counts it in
       // vds.serve_stats.v1.
-      error_.store(errno);
       failed_.store(true);
       if (on_error_) on_error_(errno);
       return;

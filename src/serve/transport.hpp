@@ -39,16 +39,11 @@ class FdSink : public ResponseSink {
   /// True once any write to the peer has failed.
   [[nodiscard]] bool failed() const noexcept { return failed_.load(); }
 
-  /// The errno of the first failed write (0 while `failed()` is
-  /// false).
-  [[nodiscard]] int error() const noexcept { return error_.load(); }
-
  private:
   int fd_;
   bool owns_fd_;
   std::mutex mutex_;
   std::atomic<bool> failed_{false};
-  std::atomic<int> error_{0};
   ErrorCallback on_error_;
 };
 

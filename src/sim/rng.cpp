@@ -25,7 +25,6 @@ void Rng::reseed(std::uint64_t seed) {
   for (auto& word : s_) word = splitmix64(sm);
   // xoshiro must not start from the all-zero state.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-  have_spare_normal_ = false;
 }
 
 std::uint64_t Rng::next() noexcept {
@@ -45,10 +44,6 @@ double Rng::uniform() noexcept {
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
-double Rng::uniform(double lo, double hi) noexcept {
-  return lo + (hi - lo) * uniform();
-}
-
 std::uint64_t Rng::uniform_index(std::uint64_t n) noexcept {
   if (n == 0) return 0;
   // Lemire-style rejection to avoid modulo bias.
@@ -57,12 +52,6 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) noexcept {
     const std::uint64_t r = next();
     if (r >= threshold) return r % n;
   }
-}
-
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
-  const auto span =
-      static_cast<std::uint64_t>(hi - lo) + 1;  // hi >= lo by contract
-  return lo + static_cast<std::int64_t>(uniform_index(span));
 }
 
 bool Rng::bernoulli(double p) noexcept {
@@ -74,30 +63,6 @@ bool Rng::bernoulli(double p) noexcept {
 double Rng::exponential(double lambda) noexcept {
   // -log(1-u) with u in [0,1) keeps the argument strictly positive.
   return -std::log1p(-uniform()) / lambda;
-}
-
-double Rng::normal(double mean, double stddev) noexcept {
-  if (have_spare_normal_) {
-    have_spare_normal_ = false;
-    return mean + stddev * spare_normal_;
-  }
-  double u1 = 0.0;
-  do {
-    u1 = uniform();
-  } while (u1 <= 0.0);
-  const double u2 = uniform();
-  const double radius = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * 3.14159265358979323846 * u2;
-  spare_normal_ = radius * std::sin(theta);
-  have_spare_normal_ = true;
-  return mean + stddev * radius * std::cos(theta);
-}
-
-std::uint64_t Rng::geometric(double p) noexcept {
-  if (p >= 1.0) return 0;
-  if (p <= 0.0) return std::numeric_limits<std::uint64_t>::max();
-  const double u = uniform();
-  return static_cast<std::uint64_t>(std::floor(std::log1p(-u) / std::log1p(-p)));
 }
 
 Rng Rng::split(std::uint64_t tag) noexcept {

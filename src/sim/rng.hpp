@@ -30,14 +30,8 @@ class Rng {
   /// Uniform double in [0, 1).
   double uniform() noexcept;
 
-  /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi) noexcept;
-
   /// Uniform integer in [0, n). Unbiased (rejection sampling). n > 0.
   std::uint64_t uniform_index(std::uint64_t n) noexcept;
-
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept;
 
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool bernoulli(double p) noexcept;
@@ -45,12 +39,6 @@ class Rng {
   /// Exponentially distributed variate with rate lambda > 0
   /// (mean 1/lambda). Used for Poisson fault inter-arrival times.
   double exponential(double lambda) noexcept;
-
-  /// Standard normal via Box–Muller (deterministic given the stream).
-  double normal(double mean = 0.0, double stddev = 1.0) noexcept;
-
-  /// Geometric: number of failures before first success, p in (0,1].
-  std::uint64_t geometric(double p) noexcept;
 
   /// Splits off an independently seeded child stream. Children derived
   /// with distinct tags are statistically independent.
@@ -71,8 +59,6 @@ class Rng {
  private:
   std::uint64_t seed_ = 0;
   std::array<std::uint64_t, 4> s_{};
-  bool have_spare_normal_ = false;
-  double spare_normal_ = 0.0;
 };
 
 }  // namespace vds::sim

@@ -1,10 +1,9 @@
 #include "sim/stats.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
-#include <sstream>
-#include <stdexcept>
 
 namespace vds::sim {
 
@@ -200,77 +199,77 @@ double student_t_critical(double confidence, std::uint64_t dof) noexcept {
   return 0.5 * (lo + hi);
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  if (!(hi > lo) || bins == 0) {
-    throw std::invalid_argument("Histogram: requires hi > lo and bins > 0");
-  }
+namespace {
+
+constexpr int kSubBits = 5;  // 32 sub-buckets per binade: epsilon 1/64
+constexpr std::size_t kSubBuckets = std::size_t{1} << kSubBits;
+constexpr int kMinExp = -20;
+constexpr int kMaxExp = 22;
+constexpr double kLowest = 0x1p-20;   // 2^kMinExp: the first tracked value
+constexpr double kHighest = 0x1p+22;  // 2^kMaxExp: the first overflow value
+constexpr std::size_t kBuckets =
+    static_cast<std::size_t>(kMaxExp - kMinExp) * kSubBuckets + 2;
+
+/// Bucket of a non-NaN sample. In [2^-20, 2^22) the IEEE-754 exponent
+/// picks the binade and the top mantissa bits the sub-bucket, exactly.
+[[nodiscard]] std::size_t bucket_of(double x) noexcept {
+  if (!(x >= kLowest)) return 0;
+  if (x >= kHighest) return kBuckets - 1;
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  const auto exp = static_cast<int>(bits >> 52) - 1023;
+  const auto sub = (bits >> (52 - kSubBits)) & (kSubBuckets - 1);
+  return 1 + static_cast<std::size_t>(exp - kMinExp) * kSubBuckets + sub;
 }
 
-void Histogram::add(double x) noexcept {
-  ++total_;
+/// The value a bucket reports: its midpoint (0 and +inf at the ends).
+[[nodiscard]] double bucket_value(std::size_t i) noexcept {
+  if (i == 0) return 0.0;
+  if (i == kBuckets - 1) return std::numeric_limits<double>::infinity();
+  const std::size_t binade = (i - 1) / kSubBuckets;
+  const std::size_t sub = (i - 1) % kSubBuckets;
+  return std::ldexp(
+      1.0 + (static_cast<double>(sub) + 0.5) / kSubBuckets,
+      static_cast<int>(binade) + kMinExp);
+}
+
+}  // namespace
+
+void Histogram::add(double x) {
   if (std::isnan(x)) {
-    // NaN compares false against lo_/hi_ and the float-to-size_t cast
-    // below would be UB; count it in its own bucket instead.
     ++nan_;
     return;
   }
-  if (x < lo_) {  // -inf lands here
-    ++under_;
-    return;
-  }
-  if (x >= hi_) {  // +inf lands here
-    ++over_;
-    return;
-  }
-  auto idx = static_cast<std::size_t>((x - lo_) / width_);
-  idx = std::min(idx, counts_.size() - 1);  // guard fp edge at hi_
-  ++counts_[idx];
+  if (counts_.empty()) counts_.assign(kBuckets, 0);
+  ++counts_[bucket_of(x)];
+  acc_.add(x);
 }
 
-std::uint64_t Histogram::bin_count(std::size_t i) const {
-  return counts_.at(i);
+void Histogram::merge(const Histogram& other) {
+  nan_ += other.nan_;
+  acc_.merge(other.acc_);
+  if (other.counts_.empty()) return;
+  if (counts_.empty()) counts_.assign(kBuckets, 0);
+  for (std::size_t i = 0; i < kBuckets; ++i) counts_[i] += other.counts_[i];
 }
 
-double Histogram::bin_lo(std::size_t i) const {
-  if (i >= counts_.size()) throw std::out_of_range("Histogram::bin_lo");
-  return lo_ + width_ * static_cast<double>(i);
+std::uint64_t Histogram::underflow() const noexcept {
+  return counts_.empty() ? 0 : counts_.front();
 }
 
-double Histogram::quantile(double q) const {
-  q = std::clamp(q, 0.0, 1.0);
-  const std::uint64_t ranked = total_ - nan_;  // NaN has no rank
-  if (ranked == 0) return lo_;
-  const double target = q * static_cast<double>(ranked);
-  double cum = static_cast<double>(under_);
-  if (target <= cum) return lo_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double c = static_cast<double>(counts_[i]);
-    if (cum + c >= target && c > 0) {
-      const double frac = (target - cum) / c;
-      return bin_lo(i) + frac * width_;
-    }
-    cum += c;
-  }
-  return hi_;
+std::uint64_t Histogram::overflow() const noexcept {
+  return counts_.empty() ? 0 : counts_.back();
 }
 
-std::string Histogram::to_string(std::size_t bar_width) const {
-  std::ostringstream os;
-  std::uint64_t peak = 1;
-  for (const auto c : counts_) peak = std::max(peak, c);
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto stars = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-        static_cast<double>(bar_width));
-    os << '[' << bin_lo(i) << ", " << bin_lo(i) + width_ << ") "
-       << std::string(stars, '#') << ' ' << counts_[i] << '\n';
-  }
-  if (under_ != 0) os << "underflow " << under_ << '\n';
-  if (over_ != 0) os << "overflow " << over_ << '\n';
-  if (nan_ != 0) os << "nan " << nan_ << '\n';
-  return os.str();
+double Histogram::quantile(double q) const noexcept {
+  const std::uint64_t ranked = acc_.count();
+  if (ranked == 0) return 0.0;
+  const double want = std::ceil(std::clamp(q, 0.0, 1.0) *
+                                static_cast<double>(ranked));
+  const std::uint64_t rank =
+      std::clamp<std::uint64_t>(static_cast<std::uint64_t>(want), 1, ranked);
+  std::size_t i = 0;
+  for (std::uint64_t seen = counts_[0]; seen < rank; seen += counts_[i]) ++i;
+  return std::clamp(bucket_value(i), acc_.min(), acc_.max());
 }
 
 }  // namespace vds::sim

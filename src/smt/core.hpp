@@ -75,13 +75,6 @@ struct CoreResult {
   std::uint64_t cache_misses = 0;
   std::uint64_t l2_hits = 0;
   std::uint64_t l2_misses = 0;
-
-  /// Fraction of issue slots used over the run.
-  [[nodiscard]] double utilization(const CoreConfig& config) const noexcept {
-    const double slots = static_cast<double>(cycles) *
-                         static_cast<double>(config.issue_width);
-    return slots == 0.0 ? 0.0 : static_cast<double>(issued_total) / slots;
-  }
 };
 
 /// Cycle-level, trace-driven SMT core: in-order per-thread issue with a
@@ -102,7 +95,6 @@ class Core {
   CoreResult run(const InstrTrace& t0, const InstrTrace& t1);
 
   [[nodiscard]] const CoreConfig& config() const noexcept { return config_; }
-  [[nodiscard]] FetchPolicy policy() const noexcept { return policy_; }
 
  private:
   CoreConfig config_;

@@ -60,10 +60,6 @@ class Machine {
   void poke(std::uint64_t addr, std::uint64_t value);
   [[nodiscard]] std::uint64_t peek(std::uint64_t addr) const;
 
-  [[nodiscard]] std::size_t memory_words() const noexcept {
-    return memory_.size();
-  }
-
   /// Installs (or clears) a permanent fault.
   void set_fault(std::optional<StuckAtFault> fault) noexcept {
     fault_ = fault;

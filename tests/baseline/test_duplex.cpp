@@ -46,18 +46,6 @@ TEST(PhysicalDuplex, FaultFreeTiming) {
   EXPECT_NEAR(report.total_time, 100.0 * 1.1, 1e-9);
 }
 
-TEST(PhysicalDuplex, FasterThanAnySingleProcessorScheme) {
-  // The duplex buys wall-clock speed with double hardware; per-
-  // processor throughput is the fair metric.
-  const auto config = base_config();
-  PhysicalDuplex duplex(config, vds::sim::Rng(1));
-  FaultTimeline timeline(std::vector<Fault>{});
-  const auto report = duplex.run(timeline);
-  const double per_cpu =
-      PhysicalDuplex::per_processor_throughput(report, config);
-  EXPECT_NEAR(per_cpu, 100.0 / (100.0 * 1.1) / 2.0, 1e-9);
-}
-
 TEST(PhysicalDuplex, SingleFaultRecoversViaVote) {
   PhysicalDuplex duplex(base_config(), vds::sim::Rng(2));
   FaultTimeline timeline({transient_on(Victim::kVersion1, 5.6)});

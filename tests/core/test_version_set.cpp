@@ -74,12 +74,14 @@ TEST(VersionSet, UnexposedPermanentCorruptsIdentically) {
 TEST(VersionSet, MaskSelectsAffectedVersions) {
   VersionSet vset(options());
   vset.set_permanent(3, true, 0b001);  // only version 1
-  EXPECT_TRUE(vset.permanent_affects(1));
-  EXPECT_FALSE(vset.permanent_affects(2));
-  EXPECT_FALSE(vset.permanent_affects(3));
-  auto v2 = vset.initial_state();
-  vset.advance(v2, 1, 2);
-  EXPECT_EQ(v2.digest(), vset.golden_at(1).digest());
+  auto v1 = vset.initial_state();
+  vset.advance(v1, 1, 1);
+  EXPECT_NE(v1.digest(), vset.golden_at(1).digest());
+  for (const int version : {2, 3}) {
+    auto v = vset.initial_state();
+    vset.advance(v, 1, version);
+    EXPECT_EQ(v.digest(), vset.golden_at(1).digest()) << version;
+  }
 }
 
 TEST(VersionSet, PermanentPersistsAcrossRounds) {
@@ -96,10 +98,13 @@ TEST(VersionSet, PermanentPersistsAcrossRounds) {
 }
 
 TEST(VersionSet, NoPermanentByDefault) {
+  // Without set_permanent every version computes the golden state.
   VersionSet vset(options());
-  EXPECT_FALSE(vset.permanent_active());
-  EXPECT_FALSE(vset.permanent_exposed());
-  EXPECT_FALSE(vset.permanent_affects(1));
+  for (const int version : {1, 2, 3}) {
+    auto v = vset.initial_state();
+    for (std::uint64_t r = 1; r <= 5; ++r) vset.advance(v, r, version);
+    EXPECT_EQ(v.digest(), vset.golden_at(5).digest()) << version;
+  }
 }
 
 }  // namespace

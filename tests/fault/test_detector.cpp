@@ -28,58 +28,10 @@ TEST(CompareStates, CorruptedStateMismatches) {
   EXPECT_EQ(compare_states(a, b), CompareOutcome::kMismatch);
 }
 
-TEST(MajorityVote, Version1Faulty) {
-  const VersionState good = advanced(1, 10);
-  VersionState bad = good;
-  bad.flip_bit(0, 0);
-  // P corrupted, Q == S good.
-  EXPECT_EQ(majority_vote(bad, good, good), VoteOutcome::kVersion1Faulty);
-}
-
-TEST(MajorityVote, Version2Faulty) {
-  const VersionState good = advanced(1, 10);
-  VersionState bad = good;
-  bad.flip_bit(0, 0);
-  EXPECT_EQ(majority_vote(good, bad, good), VoteOutcome::kVersion2Faulty);
-}
-
-TEST(MajorityVote, AllAgree) {
-  const VersionState good = advanced(1, 10);
-  EXPECT_EQ(majority_vote(good, good, good), VoteOutcome::kAllAgree);
-}
-
-TEST(MajorityVote, AllDifferentNoMajority) {
-  const VersionState good = advanced(1, 10);
-  VersionState bad1 = good;
-  VersionState bad2 = good;
-  bad1.flip_bit(0, 0);
-  bad2.flip_bit(1, 1);
-  EXPECT_EQ(majority_vote(good, bad1, bad2), VoteOutcome::kNoMajority);
-}
-
-TEST(MajorityVote, RetryDisagreesWithAgreeingPair) {
-  // P == Q but S differs: the retry itself was hit.
-  const VersionState good = advanced(1, 10);
-  VersionState bad = good;
-  bad.flip_bit(5, 50);
-  EXPECT_EQ(majority_vote(good, good, bad), VoteOutcome::kNoMajority);
-}
-
 // --- the shared comparison rule against a pure-digest reference -------
 
 bool digest_match(const VersionState& a, const VersionState& b) {
   return a.digest() == b.digest();
-}
-
-VoteOutcome digest_vote(const VersionState& p, const VersionState& q,
-                        const VersionState& s) {
-  const bool pq = digest_match(p, q);
-  const bool ps = digest_match(p, s);
-  const bool qs = digest_match(q, s);
-  if (pq && ps) return VoteOutcome::kAllAgree;
-  if (qs && !ps) return VoteOutcome::kVersion1Faulty;
-  if (ps && !qs) return VoteOutcome::kVersion2Faulty;
-  return VoteOutcome::kNoMajority;
 }
 
 /// `base` with `flips` random bit flips (two flips may cancel).
@@ -97,7 +49,6 @@ TEST(StatesMatch, AgreesWithDigestRuleOnRandomFlips) {
   vds::sim::Rng rng(2024);
   int matches = 0;
   int mismatches = 0;
-  int votes[4] = {0, 0, 0, 0};
   for (const std::size_t words : {1u, 2u, 3u, 8u, 64u, 257u}) {
     for (int trial = 0; trial < 60; ++trial) {
       VersionState base(rng.next(), words);
@@ -116,16 +67,11 @@ TEST(StatesMatch, AgreesWithDigestRuleOnRandomFlips) {
           ++(want ? matches : mismatches);
         }
       }
-      const VoteOutcome vote = majority_vote(p, q, s);
-      EXPECT_EQ(vote, digest_vote(p, q, s)) << "words=" << words
-                                            << " trial=" << trial;
-      ++votes[static_cast<int>(vote)];
     }
   }
-  // The draw reaches both comparison outcomes and every vote outcome.
+  // The draw reaches both comparison outcomes.
   EXPECT_GT(matches, 0);
   EXPECT_GT(mismatches, 0);
-  for (const int n : votes) EXPECT_GT(n, 0);
 }
 
 TEST(StatesMatch, DifferentSizesFallBackToDigest) {

@@ -165,13 +165,6 @@ TEST(SampleBody, SkewConcentratesOnLowLocations) {
   EXPECT_GT(low / double(n), 0.5);
 }
 
-TEST(SingleFaultAt, ProducesExactlyOneFault) {
-  vds::sim::Rng rng(8);
-  auto timeline = single_fault_at(basic_config(0.0), rng, 42.0);
-  EXPECT_EQ(timeline.size(), 1u);
-  EXPECT_DOUBLE_EQ(timeline.next_time(), 42.0);
-}
-
 TEST(FaultDescribe, MentionsKindAndVictim) {
   Fault fault;
   fault.kind = FaultKind::kCrash;

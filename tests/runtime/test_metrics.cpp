@@ -130,7 +130,7 @@ TEST(Metrics, WriteCountersSeparatesDeterminismClassesSorted) {
 TEST(Metrics, TimingRecordsOnlyWhileEnabled) {
   reset_enabled();
   auto& reg = metrics::registry();
-  auto& timing = reg.timing("test.timing_ms", 0.0, 10.0, 10);
+  auto& timing = reg.timing("test.timing_ms");
   reg.set_enabled(false);
   timing.record_ms(1.0);
   reg.set_enabled(true);
@@ -148,6 +148,13 @@ TEST(Metrics, TimingRecordsOnlyWhileEnabled) {
   EXPECT_DOUBLE_EQ(entry->find("mean")->as_double("mean"), 3.0);
   EXPECT_DOUBLE_EQ(entry->find("min")->as_double("min"), 2.0);
   EXPECT_DOUBLE_EQ(entry->find("max")->as_double("max"), 4.0);
+  // Percentiles are ordered and never leave the observed range.
+  double last = entry->find("min")->as_double("min");
+  for (const char* key : {"p50", "p90", "p99", "max"}) {
+    const double value = entry->find(key)->as_double(key);
+    EXPECT_LE(last, value) << key;
+    last = value;
+  }
 }
 
 TEST(Metrics, SnapshotIsValidMetricsV1Json) {

@@ -84,8 +84,8 @@ TEST(JsonReader, ErrorCarriesOffset) {
     const JsonValue doc = parse_json("{\"a\": bogus}");
     FAIL() << "expected JsonError, got " << ::testing::PrintToString(doc);
   } catch (const JsonError& error) {
-    EXPECT_GT(error.offset(), 0u);
-    EXPECT_NE(std::string(error.what()).find("byte"), std::string::npos);
+    EXPECT_NE(std::string(error.what()).find("(at byte 6)"),
+              std::string::npos);
   }
 }
 

@@ -333,6 +333,32 @@ TEST(ServeServer, StatsRequestAnswersSynchronously) {
   EXPECT_GT(after.service_mean, 0.0);
 }
 
+TEST(ServeServer, LatencyPercentilesFitInsideTheSessionWallTime) {
+  // A request cannot wait or run longer than the whole session.
+  ServerOptions options;
+  options.threads = 2;
+  const auto start = std::chrono::steady_clock::now();
+  Server server(options);
+  auto sink = std::make_shared<CollectSink>();
+  constexpr int kRequests = 30;
+  for (int k = 0; k < kRequests; ++k) {
+    server.submit(campaign_request(std::to_string(k), k + 1,
+                                   /*replicas=*/1),
+                  sink);
+  }
+  server.finish();
+  const double wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  const StatsSnapshot stats = server.stats_snapshot();
+  ASSERT_EQ(stats.completed, static_cast<std::uint64_t>(kRequests));
+  EXPECT_LE(stats.queue_p50, wall_ms);
+  EXPECT_LE(stats.queue_p99, wall_ms);
+  EXPECT_LE(stats.service_p50, wall_ms);
+  EXPECT_LE(stats.service_p99, wall_ms);
+  EXPECT_LE(stats.service_p50, stats.service_p99);
+}
+
 TEST(ServeServer, RunRequestsShareThePoolWithCampaigns) {
   ServerOptions options;
   options.threads = 2;

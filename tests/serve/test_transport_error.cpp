@@ -51,7 +51,6 @@ TEST(FdSinkError, ClosedPipeFiresCallbackExactlyOnce) {
   EXPECT_TRUE(sink.failed());
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(seen_errno, EPIPE);
-  EXPECT_EQ(sink.error(), EPIPE);
 
   // Later writes are dropped without re-firing.
   sink.write_line("second");
@@ -66,7 +65,6 @@ TEST(FdSinkError, HealthyPipeNeverFires) {
   sink.on_error([&](int) { ++fired; });
   sink.write_line("hello");
   EXPECT_FALSE(sink.failed());
-  EXPECT_EQ(sink.error(), 0);
   EXPECT_EQ(fired, 0);
   char buf[16] = {};
   ASSERT_EQ(::read(pipe.read_fd, buf, sizeof buf), 6);

@@ -2,11 +2,32 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 #include "sim/rng.hpp"
+
+// Counts heap allocations, so Histogram's lazy allocation is testable.
+namespace {
+std::uint64_t g_allocations = 0;
+}  // namespace
+
+// GCC pairs the inlined malloc/free with new/delete and warns falsely.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace vds::sim {
 namespace {
@@ -205,116 +226,250 @@ TEST(Accumulator, ResetClears) {
   EXPECT_TRUE(acc.empty());
 }
 
+// --- Histogram ------------------------------------------------------
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+// The relative error bound documented on Histogram (stats.hpp).
+constexpr double kEpsilon = 1.0 / 64;
+
+/// The exact nearest-rank q-quantile: the ceil(q * n)-th smallest.
+double nearest_rank(const std::vector<double>& sorted, double q) {
+  const auto n = sorted.size();
+  const auto rank = std::clamp<std::size_t>(
+      static_cast<std::size_t>(std::ceil(q * static_cast<double>(n))), 1, n);
+  return sorted[rank - 1];
+}
+
+/// Checks p50, p90, p99 and p99.9 of `samples` against the exact order
+/// statistic: within epsilon, and inside the observed [min, max].
+void expect_quantiles_within_epsilon(std::vector<double> samples) {
+  Histogram h;
+  for (const double x : samples) h.add(x);
+  std::sort(samples.begin(), samples.end());
+  for (const double q : {0.5, 0.9, 0.99, 0.999}) {
+    const double want = nearest_rank(samples, q);
+    const double got = h.quantile(q);
+    EXPECT_LE(std::fabs(got - want), kEpsilon * want)
+        << "q=" << q << " want=" << want << " got=" << got;
+    EXPECT_GE(got, samples.front()) << "q=" << q;
+    EXPECT_LE(got, samples.back()) << "q=" << q;
+  }
+}
+
+template <typename Draw>
+std::vector<double> draw_samples(std::size_t n, std::uint64_t seed,
+                                 Draw draw) {
+  Rng rng(seed);
+  std::vector<double> samples(n);
+  for (double& x : samples) x = draw(rng);
+  return samples;
+}
+
 TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(2.0, 1.0, 4), std::invalid_argument);
-}
-
-TEST(Histogram, BinsValuesCorrectly) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(0.9);
-  h.add(5.0);
-  h.add(9.99);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(5), 1u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, TracksUnderAndOverflow) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(-0.1);
-  h.add(1.0);  // hi is exclusive
-  h.add(55.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(2.0, 6.0, 4);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 3.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(3), 5.0);
-  EXPECT_THROW((void)h.bin_lo(4), std::out_of_range);
+  // No range or bin count to get wrong: the buckets are fixed.
+  EXPECT_FALSE(
+      (std::is_constructible_v<Histogram, double, double, std::size_t>));
+  EXPECT_TRUE(std::is_default_constructible_v<Histogram>);
 }
 
 TEST(Histogram, QuantileOfUniformData) {
-  Histogram h(0.0, 100.0, 100);
-  for (int k = 0; k < 100; ++k) h.add(k + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.0), 0.0, 1.0);
+  expect_quantiles_within_epsilon(draw_samples(
+      20000, 1, [](Rng& rng) { return 100.0 * rng.uniform(); }));
 }
 
-TEST(Histogram, QuantileOnEmptyReturnsLo) {
-  Histogram h(5.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 5.0);
+TEST(Histogram, QuantileOfExponentialData) {
+  expect_quantiles_within_epsilon(
+      draw_samples(20000, 2, [](Rng& rng) { return rng.exponential(4.0); }));
 }
 
-TEST(Histogram, ToStringMentionsEveryBin) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(1.5);
-  const std::string s = h.to_string();
-  EXPECT_NE(s.find("[0, 1)"), std::string::npos);
-  EXPECT_NE(s.find("[1, 2)"), std::string::npos);
+TEST(Histogram, QuantileOfLogUniformData) {
+  // Twelve decades, 1e-6 .. 1e6: every binade of the range is used.
+  expect_quantiles_within_epsilon(draw_samples(20000, 3, [](Rng& rng) {
+    return std::exp(std::log(1e-6) + rng.uniform() * std::log(1e12));
+  }));
+}
+
+TEST(Histogram, QuantileOfPointMassIsExact) {
+  Histogram h;
+  for (int k = 0; k < 1000; ++k) h.add(0.37);
+  // The clamp to [min, max] removes the bucket error entirely.
+  for (const double q : {0.0, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+    EXPECT_EQ(h.quantile(q), 0.37) << "q=" << q;
+  }
+  expect_quantiles_within_epsilon(std::vector<double>(1000, 0.37));
+}
+
+TEST(Histogram, QuantileOfBimodalCellTimes) {
+  // Shaped like mc.cell_attempt_ms: 99 % fast cells of a few
+  // microseconds, 1 % stalls of 1-20 ms.
+  expect_quantiles_within_epsilon(draw_samples(20000, 4, [](Rng& rng) {
+    return rng.uniform() < 0.99 ? 0.002 + 0.008 * rng.uniform()
+                                : 1.0 + 19.0 * rng.uniform();
+  }));
+}
+
+TEST(Histogram, BinsValuesCorrectly) {
+  // Over a fine q grid the quantile never decreases and always sits
+  // within epsilon of the exact order statistic.
+  std::vector<double> samples = draw_samples(500, 5, [](Rng& rng) {
+    return std::exp(std::log(1e-5) + rng.uniform() * std::log(1e11));
+  });
+  Histogram h;
+  for (const double x : samples) h.add(x);
+  std::sort(samples.begin(), samples.end());
+  double last = -kInf;
+  for (int k = 0; k <= 1000; ++k) {
+    const double q = k / 1000.0;
+    const double want = nearest_rank(samples, q);
+    const double got = h.quantile(q);
+    EXPECT_LE(std::fabs(got - want), kEpsilon * want) << "q=" << q;
+    EXPECT_GE(got, last) << "q=" << q;
+    last = got;
+  }
+}
+
+TEST(Histogram, BinEdges) {
+  // Binade edges 2^e and the last value below 2^(e+1), across the
+  // whole tracked range [2^-20, 2^22). The outer samples keep the
+  // [min, max] clamp from hiding the bucket error of the middle one.
+  for (int e = -20; e < 22; ++e) {
+    const double lo = std::ldexp(1.0, e);
+    for (const double x : {lo, std::nextafter(2.0 * lo, 0.0)}) {
+      Histogram h;
+      h.add(std::ldexp(1.0, -20));
+      h.add(x);
+      h.add(std::nextafter(std::ldexp(1.0, 22), 0.0));
+      EXPECT_LE(std::fabs(h.quantile(0.5) - x), kEpsilon * x) << "x=" << x;
+      EXPECT_EQ(h.underflow(), 0u);
+      EXPECT_EQ(h.overflow(), 0u);
+    }
+  }
+}
+
+TEST(Histogram, TracksUnderAndOverflow) {
+  Histogram h;
+  for (const double x : {0.0, -1.0, -kInf, 1e-7}) h.add(x);  // < 2^-20
+  for (const double x : {std::ldexp(1.0, 22), 1e9, kInf}) h.add(x);
+  h.add(1.0);
+  EXPECT_EQ(h.underflow(), 4u);
+  EXPECT_EQ(h.overflow(), 3u);
+  EXPECT_EQ(h.total(), 8u);
+  EXPECT_EQ(h.accumulator().count(), 8u);
+}
+
+TEST(Histogram, ZeroAndNegativeSamplesRankAtZero) {
+  // The underflow bucket is valued 0, clamped to [min, max].
+  Histogram zeros;
+  for (const double x : {0.0, 0.0, 0.0, 1.0, 2.0}) zeros.add(x);
+  EXPECT_EQ(zeros.quantile(0.5), 0.0);
+  EXPECT_LE(std::fabs(zeros.quantile(1.0) - 2.0), kEpsilon * 2.0);
+
+  Histogram mixed;
+  for (const double x : {-5.0, 0.0, 0.0, 1.0}) mixed.add(x);
+  EXPECT_EQ(mixed.quantile(0.5), 0.0);
+  EXPECT_EQ(mixed.accumulator().min(), -5.0);
+
+  Histogram negative;
+  for (int k = 0; k < 3; ++k) negative.add(-3.0);
+  EXPECT_EQ(negative.quantile(0.5), -3.0);
+  EXPECT_EQ(negative.underflow(), 3u);
+}
+
+TEST(Histogram, QuantileOnEmptyReturnsZero) {
+  const Histogram h;
+  EXPECT_EQ(h.total(), 0u);
+  EXPECT_TRUE(h.accumulator().empty());
+  for (const double q : {0.0, 0.5, 1.0}) EXPECT_EQ(h.quantile(q), 0.0);
 }
 
 TEST(Histogram, NanIsCountedNotBinned) {
-  // NaN compares false against every bound, so the unguarded cast to
-  // size_t was UB (caught by UBSan once this test existed). It must
-  // land in its own bucket, not in a value bin.
-  Histogram h(0.0, 10.0, 10);
-  h.add(std::numeric_limits<double>::quiet_NaN());
-  h.add(-std::numeric_limits<double>::quiet_NaN());
+  Histogram h;
+  h.add(kNan);
+  h.add(-kNan);
   h.add(5.0);
   EXPECT_EQ(h.nan_count(), 2u);
   EXPECT_EQ(h.total(), 3u);
   EXPECT_EQ(h.underflow(), 0u);
   EXPECT_EQ(h.overflow(), 0u);
-  std::uint64_t binned = 0;
-  for (std::size_t i = 0; i < h.bins(); ++i) binned += h.bin_count(i);
-  EXPECT_EQ(binned, 1u);
-  EXPECT_NE(h.to_string().find("nan 2"), std::string::npos);
+  // The accumulator sees only the ranked sample.
+  EXPECT_EQ(h.accumulator().count(), 1u);
+  EXPECT_EQ(h.accumulator().mean(), 5.0);
+  EXPECT_EQ(h.quantile(0.5), 5.0);
 }
 
 TEST(Histogram, InfinitiesLandInOverflowBins) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(std::numeric_limits<double>::infinity());
-  h.add(-std::numeric_limits<double>::infinity());
+  Histogram h;
+  h.add(kInf);
+  h.add(-kInf);
+  h.add(1.0);
   EXPECT_EQ(h.overflow(), 1u);
   EXPECT_EQ(h.underflow(), 1u);
   EXPECT_EQ(h.nan_count(), 0u);
+  EXPECT_EQ(h.quantile(1.0), kInf);
+  EXPECT_LE(std::fabs(h.quantile(0.5) - 1.0), kEpsilon);
 }
 
 TEST(Histogram, QuantileIgnoresNanMass) {
-  Histogram h(0.0, 10.0, 10);
+  Histogram h;
   for (int k = 0; k < 10; ++k) h.add(static_cast<double>(k) + 0.5);
   const double median_before = h.quantile(0.5);
-  for (int k = 0; k < 100; ++k) {
-    h.add(std::numeric_limits<double>::quiet_NaN());
-  }
+  for (int k = 0; k < 100; ++k) h.add(kNan);
   // NaN samples have no rank; the quantile of the real data is
   // unchanged no matter how many arrive.
   EXPECT_DOUBLE_EQ(h.quantile(0.5), median_before);
 }
 
-TEST(Histogram, QuantileOfAllNanReturnsLo) {
+TEST(Histogram, QuantileOfAllNanReturnsZero) {
   // With zero ranked samples (total == nan_count) there is nothing to
-  // rank, so every quantile degrades to lo — same as an empty
-  // histogram, and never NaN.
-  Histogram h(2.0, 10.0, 8);
-  for (int k = 0; k < 5; ++k) {
-    h.add(std::numeric_limits<double>::quiet_NaN());
-  }
+  // rank, so every quantile is 0 -- as for an empty histogram, and
+  // never NaN.
+  Histogram h;
+  for (int k = 0; k < 5; ++k) h.add(kNan);
   EXPECT_EQ(h.total(), 5u);
   EXPECT_EQ(h.nan_count(), 5u);
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 2.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 2.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 2.0);
+  for (const double q : {0.0, 0.5, 1.0}) EXPECT_EQ(h.quantile(q), 0.0);
+}
+
+TEST(Histogram, MergeOfShardsEqualsOneHistogram) {
+  const std::vector<double> samples = draw_samples(8000, 6, [](Rng& rng) {
+    const double u = rng.uniform();
+    if (u < 0.01) return kNan;
+    if (u < 0.02) return 0.0;
+    return std::exp(std::log(1e-7) + rng.uniform() * std::log(1e14));
+  });
+  Histogram whole;
+  Histogram shards[8];
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    whole.add(samples[i]);
+    shards[i % 8].add(samples[i]);
+  }
+  Histogram merged;
+  merged.merge(Histogram{});  // an empty shard changes nothing
+  for (const Histogram& shard : shards) merged.merge(shard);
+  EXPECT_EQ(merged.total(), whole.total());
+  EXPECT_EQ(merged.nan_count(), whole.nan_count());
+  EXPECT_EQ(merged.underflow(), whole.underflow());
+  EXPECT_EQ(merged.overflow(), whole.overflow());
+  EXPECT_EQ(merged.accumulator().min(), whole.accumulator().min());
+  EXPECT_EQ(merged.accumulator().max(), whole.accumulator().max());
+  EXPECT_NEAR(merged.accumulator().mean(), whole.accumulator().mean(),
+              1e-9 * std::fabs(whole.accumulator().mean()));
+  for (int k = 0; k <= 100; ++k) {
+    EXPECT_EQ(merged.quantile(k / 100.0), whole.quantile(k / 100.0))
+        << "q=" << k / 100.0;
+  }
+}
+
+TEST(Histogram, EmptyAllocatesNothing) {
+  const std::uint64_t before = g_allocations;
+  Histogram h;
+  h.add(kNan);  // NaN is counted without buckets
+  h.merge(Histogram{});
+  EXPECT_EQ(h.quantile(0.5), 0.0);
+  EXPECT_EQ(g_allocations, before);
+  h.add(1.0);
+  EXPECT_GT(g_allocations, before);
 }
 
 }  // namespace
