@@ -1,13 +1,17 @@
 // E22 (extension) -- request latency and throughput of the vds_serve
 // campaign server. A fixed pool of identical campaign requests is
-// offered at increasing client concurrency; for each level the
-// harness reports queue-wait and service-time p50/p99 (from the
-// server's own stats endpoint machinery) and completed requests per
-// second. Alongside the latency table, the digest of every response
-// is checked against the one-shot campaign result: load changes
-// *when* a request finishes, never *what* it computes.
+// shared among an increasing number of closed-loop clients: each
+// client keeps one request in flight and sends the next only after
+// the response to the last one arrived, so the offered concurrency is
+// the client count. For each level the harness reports queue-wait and
+// service-time p50/p99 (from the server's own stats endpoint
+// machinery) and completed requests per second. Alongside the latency
+// table, the digest of every response is checked against the one-shot
+// campaign result: load changes *when* a request finishes, never
+// *what* it computes.
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <memory>
 #include <mutex>
@@ -25,30 +29,49 @@ using namespace vds;
 
 namespace {
 
-/// Sink that only counts: the bench reads latency from server stats.
-class CountingSink : public serve::ResponseSink {
+/// One closed-loop client's connection: counts the responses, checks
+/// each one's digest against the one-shot result, and lets the client
+/// wait for its response before it sends the next request.
+class ClientSink : public serve::ResponseSink {
  public:
+  explicit ClientSink(std::string expected) : expected_(std::move(expected)) {}
+
   void write_line(const std::string& line) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++lines_;
-    if (line.find("\"schema\": \"vds.serve_error.v1\"") !=
-        std::string::npos) {
-      ++errors_;
-    }
-    if (digest_.empty()) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      ++lines_;
       const std::size_t at = line.find("\"digest\": \"");
-      if (at != std::string::npos) digest_ = line.substr(at + 11, 16);
+      if (at == std::string::npos ||
+          line.compare(at + 11, 16, expected_) != 0) {
+        ++mismatches_;  // an error response or a different result
+      }
     }
+    cv_.notify_one();
   }
-  [[nodiscard]] std::size_t lines() const { return lines_; }
-  [[nodiscard]] std::size_t errors() const { return errors_; }
-  [[nodiscard]] const std::string& digest() const { return digest_; }
+
+  /// Blocks until `n` responses have arrived; false after a minute
+  /// without them.
+  bool wait_for(std::size_t n) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, std::chrono::minutes(1),
+                        [&] { return lines_ >= n; });
+  }
+
+  [[nodiscard]] std::size_t lines() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return lines_;
+  }
+  [[nodiscard]] std::size_t mismatches() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return mismatches_;
+  }
 
  private:
+  const std::string expected_;
   std::mutex mutex_;
-  std::size_t lines_ = 0;
-  std::size_t errors_ = 0;
-  std::string digest_;
+  std::condition_variable cv_;
+  std::size_t lines_ = 0;       // guarded
+  std::size_t mismatches_ = 0;  // guarded
 };
 
 std::string campaign_request(int id) {
@@ -78,7 +101,8 @@ std::string one_shot_digest() {
 int main() {
   bench::banner("E22", "vds_serve latency/throughput vs client concurrency");
   std::printf(
-      "\n%u hardware threads; 64 identical campaign requests per level\n",
+      "\n%u hardware threads; 64 identical campaign requests per level,\n"
+      "shared among closed-loop clients (one request in flight each)\n",
       std::thread::hardware_concurrency());
 
   const std::string expected = one_shot_digest();
@@ -91,15 +115,21 @@ int main() {
     serve::ServerOptions options;
     options.queue_limit = kRequests + clients;  // admission never trips
     serve::Server server(options);
-    auto sink = std::make_shared<CountingSink>();
+    std::vector<std::shared_ptr<ClientSink>> sinks;
+    for (int c = 0; c < clients; ++c) {
+      sinks.push_back(std::make_shared<ClientSink>(expected));
+    }
 
     const auto start = std::chrono::steady_clock::now();
     std::vector<std::thread> workers;
     workers.reserve(static_cast<std::size_t>(clients));
     for (int c = 0; c < clients; ++c) {
+      auto sink = sinks[std::size_t(c)];
       workers.emplace_back([&server, sink, c, clients] {
+        std::size_t sent = 0;
         for (int r = c; r < kRequests; r += clients) {
           server.submit(campaign_request(r), sink);
+          if (!sink->wait_for(++sent)) return;  // stalled: shows as MISMATCH
         }
       });
     }
@@ -111,8 +141,13 @@ int main() {
             .count();
 
     const serve::StatsSnapshot stats = server.stats_snapshot();
-    const bool all_ok = sink->lines() == kRequests &&
-                        sink->errors() == 0 && sink->digest() == expected;
+    std::size_t lines = 0;
+    std::size_t mismatches = 0;
+    for (const auto& sink : sinks) {
+      lines += sink->lines();
+      mismatches += sink->mismatches();
+    }
+    const bool all_ok = lines == kRequests && mismatches == 0;
     std::printf("%12d %9.2fms %9.2fms %9.2fms %9.2fms %10.1f %12s\n",
                 clients, stats.queue_p50, stats.queue_p99, stats.service_p50,
                 stats.service_p99,
@@ -120,7 +155,9 @@ int main() {
                 all_ok ? "all match" : "MISMATCH");
   }
 
-  bench::note("queue wait grows with concurrency; the digest column must "
+  bench::note("each client waits for its response before the next "
+              "request, so at N clients at most N requests queue: queue "
+              "wait grows with the client count. The digest column must "
               "read 'all match' at every level -- load never perturbs "
               "results.");
   return 0;

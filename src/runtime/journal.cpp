@@ -3,11 +3,9 @@
 #include <array>
 #include <cerrno>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <map>
-#include <ostream>
 #include <stdexcept>
 
 #include <fcntl.h>
@@ -131,15 +129,9 @@ std::uint32_t crc32c(const void* data, std::size_t bytes,
   return ~crc;
 }
 
-std::uint32_t crc32c(std::string_view text, std::uint32_t crc) noexcept {
-  return crc32c(text.data(), text.size(), crc);
-}
-
 // --- Journal ---------------------------------------------------------
 
 namespace {
-
-constexpr const char* kHeaderFormat = "vds-mc-journal v2 fingerprint %016" PRIx64 "\n";
 
 // v3 binary layout (docs/SCHEMAS.md section 6). Header: 8-byte magic,
 // u32 LE version, u64 LE fingerprint, '\n'. Record: 0xA5 marker, u8
@@ -337,83 +329,19 @@ bool decode_v3_payload(const unsigned char* p, std::size_t n,
   return pos == n;  // trailing bytes would hide corruption
 }
 
-/// Parses one record body (the line before any ` #crc` suffix).
-bool parse_record_body(const char* body, JournalRecord& record) {
-  return std::sscanf(body, "cell %" SCNu64 " %d %la %la %la %" SCNu64,
-                     &record.index, &record.outcome,
-                     &record.detection_latency, &record.recovery_time,
-                     &record.total_time, &record.rounds_committed) == 6;
-}
-
-/// Parses a stratum stop-record body (`stop STRATUM AFTER CI`).
-bool parse_stop_body(const char* body, JournalRecord& record) {
-  if (std::sscanf(body, "stop %" SCNu64 " %" SCNu64 " %la", &record.index,
-                  &record.stop_after, &record.achieved_ci) != 3) {
-    return false;
-  }
-  record.stop = true;
-  return true;
-}
-
-/// Parses a fabric assignment-log body
-/// (`lease EVENT ID ATTEMPT LO HI DIGEST CELLS`). All eight fields are
-/// always present; digest/cells are zero except on `completed`.
-bool parse_lease_body(const char* body, JournalRecord& record) {
-  char event[16];
-  if (std::sscanf(body,
-                  "lease %15s %" SCNu64 " %" SCNu64 " %" SCNu64 " %" SCNu64
-                  " %" SCNx64 " %" SCNu64,
-                  event, &record.index, &record.lease_attempt,
-                  &record.lease_lo, &record.lease_hi, &record.lease_digest,
-                  &record.lease_cells) != 7) {
-    return false;
-  }
-  const std::string_view word(event);
-  if (word == to_string(LeaseEvent::kGranted)) {
-    record.lease_event = LeaseEvent::kGranted;
-  } else if (word == to_string(LeaseEvent::kCompleted)) {
-    record.lease_event = LeaseEvent::kCompleted;
-  } else if (word == to_string(LeaseEvent::kExpired)) {
-    record.lease_event = LeaseEvent::kExpired;
-  } else {
-    return false;
-  }
-  record.lease = true;
-  return true;
-}
-
 std::string hex16(std::uint64_t value) {
   char buf[20];
   std::snprintf(buf, sizeof buf, "%016" PRIx64, value);
   return buf;
 }
 
-/// Exactly 1..8 hex digits, nothing else — the strict form the writer
-/// emits (it always writes 8).
-bool parse_hex32(std::string_view hex, std::uint32_t& value) noexcept {
-  if (hex.empty() || hex.size() > 8) return false;
-  value = 0;
-  for (const char c : hex) {
-    unsigned digit;
-    if (c >= '0' && c <= '9') {
-      digit = static_cast<unsigned>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      digit = static_cast<unsigned>(c - 'a') + 10;
-    } else if (c >= 'A' && c <= 'F') {
-      digit = static_cast<unsigned>(c - 'A') + 10;
-    } else {
-      return false;
-    }
-    value = (value << 4) | digit;
-  }
-  return true;
-}
+constexpr const char* kNotV3 =
+    "unrecognized header (not a v3 vds-mc journal: a text journal from "
+    "an older build, a newer format, or another file); delete or move "
+    "the file, or pick another path";
 
 [[noreturn]] void throw_unrecognized(const std::string& path) {
-  throw std::runtime_error(
-      "journal '" + path +
-      "': unrecognized header (not a vds-mc journal, or a newer "
-      "format); delete the file or pick another --journal path");
+  throw std::runtime_error("journal '" + path + "': " + kNotV3);
 }
 
 /// Reads the whole file; false (and no throw) only for ENOENT.
@@ -440,77 +368,6 @@ bool read_file(const std::string& path, std::string& out) {
   return true;
 }
 
-/// v1/v2 text scan. Only the *final* byte range with no terminating
-/// '\n' is a torn tail; every mid-file anomaly — bit-flipped bytes,
-/// an embedded NUL, a garbage line of any length — costs exactly the
-/// records it touched, and the scan continues at the next '\n'.
-void parse_text_journal(const std::string& path, std::string_view data,
-                        JournalLoad& result) {
-  std::size_t nl = data.find('\n');
-  if (nl == std::string_view::npos) {
-    // The header itself never completed; nothing is trustworthy.
-    return;
-  }
-  const std::string header(data.substr(0, nl));
-  std::size_t pos = nl + 1;
-
-  unsigned version = 0;
-  std::uint64_t stored = 0;
-  if (std::sscanf(header.c_str(), "vds-mc-journal v%u fingerprint %" SCNx64,
-                  &version, &stored) != 2 ||
-      version < 1 || version > 2) {
-    throw_unrecognized(path);
-  }
-  result.version = static_cast<int>(version);
-  result.fingerprint = stored;
-  result.has_header = true;
-
-  while (pos < data.size()) {
-    nl = data.find('\n', pos);
-    if (nl == std::string_view::npos) {
-      // Torn final line: the process died mid-write. The record is
-      // lost; its cell will re-execute.
-      ++result.corrupt;
-      break;
-    }
-    const std::string_view line = data.substr(pos, nl - pos);
-    pos = nl + 1;
-
-    // ` #xxxxxxxx` suffix = checksummed v2 record. rfind: a corrupted
-    // body could contain a spurious '#'; the checksum is always last.
-    JournalRecord record;
-    const std::size_t marker = line.rfind(" #");
-    if (marker != std::string_view::npos) {
-      std::uint32_t stored_crc = 0;
-      if (!parse_hex32(line.substr(marker + 2), stored_crc) ||
-          crc32c(line.substr(0, marker)) != stored_crc) {
-        ++result.corrupt;  // bit flip or torn-then-overwritten line
-        continue;
-      }
-      // Copy for NUL termination; an embedded NUL from corruption
-      // truncates the sscanf view and fails the parse below.
-      const std::string body(line.substr(0, marker));
-      if (parse_record_body(body.c_str(), record)) {
-        result.records.push_back(record);
-      } else if (parse_stop_body(body.c_str(), record)) {
-        result.stops.push_back(record);
-      } else if (parse_lease_body(body.c_str(), record)) {
-        result.leases.push_back(record);
-      } else {
-        ++result.corrupt;  // checksum of a body we cannot parse
-      }
-      continue;
-    }
-    // No checksum: legacy v1 record — trusted only in a v1 file.
-    const std::string body(line);
-    if (result.version == 1 && parse_record_body(body.c_str(), record)) {
-      result.records.push_back(record);
-    } else {
-      ++result.corrupt;
-    }
-  }
-}
-
 /// v3 binary scan with resynchronization. Two damage classes:
 ///
 /// * A record whose *framing* is intact (marker byte, plausible
@@ -526,6 +383,7 @@ void parse_text_journal(const std::string& path, std::string_view data,
 void parse_v3_journal(const std::string& path, std::string_view data,
                       JournalLoad& result) {
   if (data.size() < kV3HeaderSize ||
+      std::memcmp(data.data(), kV3Magic, sizeof kV3Magic) != 0 ||
       data[kV3HeaderSize - 1] != '\n' ||
       get_le32(reinterpret_cast<const unsigned char*>(data.data()) + 8) != 3) {
     throw_unrecognized(path);
@@ -590,28 +448,20 @@ std::string write_once(int fd, const void* data, std::size_t size) {
   return {};
 }
 
-JournalLoad load_impl(const std::string& path) {
-  JournalLoad result;
-  std::string data;
-  if (!read_file(path, data) || data.empty()) return result;
-  if (data.size() >= sizeof kV3Magic &&
-      std::memcmp(data.data(), kV3Magic, sizeof kV3Magic) == 0) {
-    parse_v3_journal(path, data, result);
-    return result;
-  }
-  parse_text_journal(path, data, result);
-  return result;
-}
-
 }  // namespace
 
 JournalLoad Journal::inspect(const std::string& path) {
-  return load_impl(path);
+  JournalLoad result;
+  std::string data;
+  if (read_file(path, data) && !data.empty()) {
+    parse_v3_journal(path, data, result);
+  }
+  return result;
 }
 
 JournalLoad Journal::load(const std::string& path,
                           std::uint64_t fingerprint) {
-  JournalLoad result = load_impl(path);
+  JournalLoad result = inspect(path);
   if (result.has_header && result.fingerprint != fingerprint) {
     throw std::runtime_error(
         "journal '" + path +
@@ -626,10 +476,10 @@ JournalLoad Journal::load(const std::string& path,
 }
 
 Journal::Journal(const std::string& path, std::uint64_t fingerprint,
-                 JournalFormat format)
-    : path_(path), format_(format) {
+                 JournalFormat)
+    : path_(path) {
   // O_APPEND keeps existing records (resume) and makes every write(2)
-  // land whole at the end of the file; O_RDWR lets us sniff an
+  // land whole at the end of the file; O_RDWR lets us check an
   // existing header. The header is only written when the file is
   // empty.
   fd_ = ::open(path.c_str(), O_RDWR | O_APPEND | O_CREAT | O_CLOEXEC, 0666);
@@ -650,38 +500,30 @@ Journal::Journal(const std::string& path, std::uint64_t fingerprint,
   const off_t size = ::lseek(fd_, 0, SEEK_END);
   if (size < 0) fail(std::string("cannot seek: ") + std::strerror(errno));
   if (size == 0) {
-    unsigned char header[64];
-    std::size_t header_len;
-    if (format_ == JournalFormat::kV3Binary) {
-      std::memcpy(header, kV3Magic, sizeof kV3Magic);
-      put_le32(header + 8, 3);
-      put_le64(header + 12, fingerprint);
-      header[kV3HeaderSize - 1] = '\n';
-      header_len = kV3HeaderSize;
-    } else {
-      header_len = std::size_t(std::snprintf(reinterpret_cast<char*>(header),
-                                             sizeof header, kHeaderFormat,
-                                             fingerprint));
-    }
-    const std::string error = write_once(fd_, header, header_len);
+    unsigned char header[kV3HeaderSize];
+    std::memcpy(header, kV3Magic, sizeof kV3Magic);
+    put_le32(header + 8, 3);
+    put_le64(header + 12, fingerprint);
+    header[kV3HeaderSize - 1] = '\n';
+    const std::string error = write_once(fd_, header, sizeof header);
     if (!error.empty()) fail("cannot write header: " + error);
-  } else {
-    // Appends must match the file, not the request: a v3-default
-    // resume of a v2 journal keeps writing text, and vice versa.
-    unsigned char head[sizeof kV3Magic] = {};
-    const ssize_t got = ::pread(fd_, head, sizeof head, 0);
-    if (got < 0) {
-      fail(std::string("cannot read header: ") + std::strerror(errno));
-    }
-    format_ = (std::size_t(got) == sizeof head &&
-               std::memcmp(head, kV3Magic, sizeof head) == 0)
-                  ? JournalFormat::kV3Binary
-                  : JournalFormat::kV2Text;
+    return;
+  }
+  // Appending v3 records to anything else would leave a file no reader
+  // accepts; refuse before a byte is written.
+  unsigned char head[sizeof kV3Magic] = {};
+  const ssize_t got = ::pread(fd_, head, sizeof head, 0);
+  if (got < 0) {
+    fail(std::string("cannot read header: ") + std::strerror(errno));
+  }
+  if (std::size_t(got) != sizeof head ||
+      std::memcmp(head, kV3Magic, sizeof head) != 0) {
+    fail(kNotV3);
   }
 }
 
-Journal::Journal(std::FILE* stream, std::string name, JournalFormat format)
-    : path_(std::move(name)), format_(format) {
+Journal::Journal(std::FILE* stream, std::string name)
+    : path_(std::move(name)) {
   if (stream == nullptr) {
     throw std::runtime_error("journal '" + path_ + "': null stream");
   }
@@ -721,49 +563,15 @@ void Journal::append(const JournalRecord& record) {
     throw std::runtime_error("journal '" + path_ +
                              "': earlier write failed; record dropped");
   }
-  unsigned char line[256];
+  unsigned char line[2 + kV3MaxPayload + 4 + 1];
   std::size_t line_len = 0;
-  if (format_ == JournalFormat::kV3Binary) {
-    unsigned char payload[kV3MaxPayload];
-    const std::size_t payload_len = encode_v3_payload(record, payload);
-    line[line_len++] = kV3Marker;
-    line[line_len++] = static_cast<unsigned char>(payload_len);
-    std::memcpy(line + line_len, payload, payload_len);
-    line_len += payload_len;
-    put_le32(line + line_len, crc32c(payload, payload_len));
-    line_len += 4;
-    line[line_len++] = '\n';
-  } else {
-    char body[200];
-    int body_len;
-    if (record.lease) {
-      body_len = std::snprintf(
-          body, sizeof body,
-          "lease %s %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64
-          " %016" PRIx64 " %" PRIu64,
-          std::string(to_string(record.lease_event)).c_str(), record.index,
-          record.lease_attempt, record.lease_lo, record.lease_hi,
-          record.lease_digest, record.lease_cells);
-    } else if (record.stop) {
-      body_len = std::snprintf(body, sizeof body,
-                               "stop %" PRIu64 " %" PRIu64 " %a", record.index,
-                               record.stop_after, record.achieved_ci);
-    } else {
-      body_len = std::snprintf(body, sizeof body,
-                               "cell %" PRIu64 " %d %a %a %a %" PRIu64,
-                               record.index, record.outcome,
-                               record.detection_latency, record.recovery_time,
-                               record.total_time, record.rounds_committed);
-    }
-    if (body_len < 0 || body_len >= static_cast<int>(sizeof body)) {
-      failed_.store(true);
-      throw std::runtime_error("journal '" + path_ + "': record too long");
-    }
-    const int text_len = std::snprintf(
-        reinterpret_cast<char*>(line), sizeof line, "%s #%08" PRIx32 "\n",
-        body, crc32c(std::string_view(body, std::size_t(body_len))));
-    line_len = std::size_t(text_len);
-  }
+  line[line_len++] = kV3Marker;
+  const std::size_t payload_len = encode_v3_payload(record, line + 2);
+  line[line_len++] = static_cast<unsigned char>(payload_len);
+  line_len += payload_len;
+  put_le32(line + line_len, crc32c(line + 2, payload_len));
+  line_len += 4;
+  line[line_len++] = '\n';
   // Chaos write-side faults: both must look like a *successful* append
   // to the campaign — they model silent substrate corruption that only
   // the checksummed reader can catch on --resume.
@@ -787,8 +595,7 @@ void Journal::append(const JournalRecord& record) {
 }
 
 JournalMergeStats merge_journals(const std::vector<std::string>& inputs,
-                                 const std::string& out_path,
-                                 JournalFormat format) {
+                                 const std::string& out_path) {
   if (inputs.empty()) {
     throw std::runtime_error("journal merge: no input journals");
   }
@@ -867,7 +674,7 @@ JournalMergeStats merge_journals(const std::vector<std::string>& inputs,
     }
   }
   std::remove(out_path.c_str());
-  Journal out(out_path, stats.fingerprint, format);
+  Journal out(out_path, stats.fingerprint);
   for (const auto& [index, record] : cells) {
     out.append(record);
     ++stats.records_out;

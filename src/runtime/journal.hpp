@@ -31,8 +31,8 @@ enum class LeaseEvent : std::uint8_t {
   kExpired = 2,    ///< worker died or went silent; lease reopened
 };
 
-/// Canonical event names ("granted", "completed", "expired") — the v2
-/// text spelling and the inspect/audit vocabulary.
+/// Canonical event names ("granted", "completed", "expired") — the
+/// inspect/audit vocabulary.
 [[nodiscard]] std::string_view to_string(LeaseEvent event) noexcept;
 
 /// One journaled Monte Carlo cell: everything the aggregation needs,
@@ -74,28 +74,26 @@ struct JournalRecord {
   [[nodiscard]] bool operator==(const JournalRecord&) const = default;
 };
 
-/// On-disk journal flavor for *appends*. Reads are format-agnostic:
-/// `Journal::load` recognizes v1/v2 text and v3 binary from the
-/// header, and appending to an existing file always adopts the
-/// file's own format regardless of what the caller requested (so a
-/// v3-default `--resume` of a v2 journal keeps the file parseable).
+/// The one journal encoding, v3 binary. Kept only because the
+/// benchmark probes (`perfbench/src/probes.cpp`) name it when they open
+/// a journal; `Journal` takes it and ignores it. Goes with the next
+/// change to the benchmark.
 enum class JournalFormat {
-  kV2Text = 2,    ///< hex-float text lines with ` #crc32c` suffix
-  kV3Binary = 3,  ///< length-prefixed binary records (see SCHEMAS.md)
+  kV3Binary = 3,
 };
 
 /// What `Journal::load` recovered from disk. `corrupt` counts every
 /// record that had to be discarded — checksum mismatch (bit flip),
-/// unparseable body, missing checksum in a v2 file, or a torn tail —
-/// so a resumed campaign can report how much work the substrate lost.
-/// A contiguous run of damaged bytes in a v3 file counts once (one
-/// corruption episode), however many bytes it spans.
+/// undecodable payload, or a torn tail — so a resumed campaign can
+/// report how much work the substrate lost. A contiguous run of
+/// damaged bytes counts once (one corruption episode), however many
+/// bytes it spans.
 struct JournalLoad {
   std::vector<JournalRecord> records;  ///< cell records, file order
   std::vector<JournalRecord> stops;    ///< stratum stop records, file order
   std::vector<JournalRecord> leases;   ///< lease events, file order
   std::uint64_t corrupt = 0;
-  int version = 2;  ///< header version of the file (2 when absent)
+  int version = 0;  ///< header version of the file (3; 0 when absent)
   std::uint64_t fingerprint = 0;  ///< from the header (0 when absent)
   bool has_header = false;        ///< false for a missing/empty file
 };
@@ -104,18 +102,16 @@ class Chaos;
 
 /// Append-only progress journal for resumable campaigns.
 ///
-/// Two write formats behind one API. v2 is plain text, one record per
-/// line, doubles in hex-float, every line ending in ` #xxxxxxxx` — a
-/// CRC32C of the record body. v3 (the default) is binary: a magic +
-/// version + fingerprint header, then length-prefixed records each
-/// carrying a CRC32C of their payload (roughly 3× smaller; exact
-/// layout in docs/SCHEMAS.md). In both formats a bit flip or a torn
-/// write anywhere in the file is detected on load and only the
-/// damaged records are lost (their cells re-execute); the scan then
-/// resynchronizes and keeps every later intact record. v1 files (no
-/// checksums) remain loadable. The header carries a fingerprint of
-/// the campaign configuration; `load()` refuses a journal written for
-/// a different configuration. A torn final record (the process was
+/// One encoding, v3 binary: a magic + version + fingerprint header,
+/// then length-prefixed records each carrying a CRC32C of their
+/// payload (exact layout in docs/SCHEMAS.md §6). A bit flip or a torn
+/// write anywhere in the file is detected on load and only the damaged
+/// records are lost (their cells re-execute); the scan then
+/// resynchronizes and keeps every later intact record. The header
+/// carries a fingerprint of the campaign configuration; `load()`
+/// refuses a journal written for a different configuration, and every
+/// entry point refuses a file without the v3 magic (such as a text
+/// journal from an older build). A torn final record (the process was
 /// killed mid-write) is discarded and counted, so a crashed campaign
 /// always resumes from its last *complete* record.
 class Journal {
@@ -129,28 +125,26 @@ class Journal {
   static JournalLoad load(const std::string& path,
                           std::uint64_t fingerprint);
 
-  /// `load` without the fingerprint gate: parses any recognized
-  /// journal and reports what is in it (records, corruption count,
-  /// version, stored fingerprint). The `vds_journal` tool is built on
-  /// this. Still throws on open errors and unrecognized headers.
+  /// `load` without the fingerprint gate: parses a journal and reports
+  /// what is in it (records, corruption count, version, stored
+  /// fingerprint). The `vds_journal` tool is built on this. Still
+  /// throws on open errors and on a file without the v3 header.
   static JournalLoad inspect(const std::string& path);
 
-  /// Opens `path` for appending, writing a `format` header first if
-  /// the file is new/empty; a non-empty file keeps its own format
-  /// (sniffed from the header) so mixed-version appends never happen.
-  /// Throws std::runtime_error on I/O error (including a seek
-  /// failure on a non-seekable path and a header write that fails,
-  /// e.g. on a full disk).
+  /// Opens `path` for appending, writing the header first if the file
+  /// is new/empty. Throws std::runtime_error on I/O error (including a
+  /// seek failure on a non-seekable path and a header write that
+  /// fails, e.g. on a full disk), and — before writing anything — when
+  /// a non-empty file does not start with the v3 magic.
   Journal(const std::string& path, std::uint64_t fingerprint,
-          JournalFormat format = JournalFormat::kV3Binary);
+          JournalFormat = JournalFormat::kV3Binary);
 
   /// Takes ownership of an already-open stream: flushes it once,
   /// adopts its descriptor (switched to O_APPEND) and closes the
   /// stream. No header is written — the caller prepared the stream.
   /// `name` labels error messages. Exists for tests that need a
   /// failing stream (e.g. /dev/full).
-  Journal(std::FILE* stream, std::string name,
-          JournalFormat format = JournalFormat::kV2Text);
+  Journal(std::FILE* stream, std::string name);
 
   ~Journal();
 
@@ -174,9 +168,6 @@ class Journal {
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
-  /// The format appends go out in (the file's own format once it has
-  /// a header, else the requested one).
-
   /// Arms write-side chaos sites (`journal.corrupt` flips a bit in
   /// the record body, `journal.torn` truncates the record mid-write;
   /// both report success to the caller — the *reader* must catch
@@ -188,7 +179,6 @@ class Journal {
   int fd_ = -1;
   std::atomic<bool> failed_{false};
   const Chaos* chaos_ = nullptr;
-  JournalFormat format_ = JournalFormat::kV3Binary;
 };
 
 /// What `merge_journals` did. `duplicates` counts records coalesced
@@ -204,36 +194,31 @@ struct JournalMergeStats {
 };
 
 /// Merges per-shard journals into one resumable journal at
-/// `out_path` (overwritten), records sorted by cell index, written in
-/// `format`. Every input must be a readable journal with a header;
-/// all fingerprints must agree (the merged file carries that
-/// fingerprint). Duplicate cells with bitwise-identical payloads are
-/// coalesced; a duplicate cell whose payload *differs* between
-/// shards means the shards disagree about a result and is a hard
-/// error, as is `out_path` naming one of the inputs. Lease events
-/// (an assignment log among the inputs) are copied through in input
-/// order — they are an event history, so duplicates are meaningful
-/// and never coalesced. Throws std::runtime_error on all of the
-/// above; corrupt records in the inputs are skipped and counted,
-/// same as resume.
+/// `out_path` (overwritten), records sorted by cell index. Every input
+/// must be a readable journal with a header; all fingerprints must
+/// agree (the merged file carries that fingerprint). Duplicate cells
+/// with bitwise-identical payloads are coalesced; a duplicate cell
+/// whose payload *differs* between shards means the shards disagree
+/// about a result and is a hard error, as is `out_path` naming one of
+/// the inputs. Lease events (an assignment log among the inputs) are
+/// copied through in input order — they are an event history, so
+/// duplicates are meaningful and never coalesced. Throws
+/// std::runtime_error on all of the above; corrupt records in the
+/// inputs are skipped and counted, same as resume.
 JournalMergeStats merge_journals(const std::vector<std::string>& inputs,
-                                 const std::string& out_path,
-                                 JournalFormat format = JournalFormat::kV3Binary);
+                                 const std::string& out_path);
 
 /// CRC32C (Castagnoli), the per-record journal checksum.
 [[nodiscard]] std::uint32_t crc32c(const void* data, std::size_t bytes,
                                    std::uint32_t crc = 0) noexcept;
 
-[[nodiscard]] std::uint32_t crc32c(std::string_view text,
-                                   std::uint32_t crc = 0) noexcept;
-
-// Without this overload, crc32c("literal", prior_crc) silently picks
-// the (const void*, size_t) overload -- the pointer conversion beats
-// string_view's user-defined one -- and reads `prior_crc` bytes.
+/// CRC32C of a string literal, without its terminating NUL. Without
+/// this overload, crc32c("literal", prior_crc) would silently pick the
+/// (const void*, size_t) one and read `prior_crc` bytes.
 template <std::size_t N>
 [[nodiscard]] std::uint32_t crc32c(const char (&text)[N],
                                    std::uint32_t crc = 0) noexcept {
-  return crc32c(std::string_view(static_cast<const char*>(text)), crc);
+  return crc32c(text, std::string_view(text).size(), crc);
 }
 
 /// FNV-1a, the journal/config fingerprint hash.

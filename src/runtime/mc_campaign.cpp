@@ -527,8 +527,7 @@ McExecution::McExecution(McConfig config, McRunner runner)
       // A fresh (non-resuming) campaign starts a fresh journal.
       std::remove(config_.journal_path.c_str());
     }
-    st.journal = std::make_unique<Journal>(config_.journal_path, fingerprint,
-                                           config_.journal_format);
+    st.journal = std::make_unique<Journal>(config_.journal_path, fingerprint);
     if (st.chaos.armed()) st.journal->arm_chaos(&st.chaos);
   }
 

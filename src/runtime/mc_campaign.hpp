@@ -58,11 +58,6 @@ struct McConfig {
   /// over (scheme, alpha, s, ...), so a journal cannot be resumed
   /// against a differently configured engine.
   std::uint64_t runner_fingerprint = 0;
-  /// On-disk format when a *new* journal is created; appending to an
-  /// existing file always keeps the file's own format. Never part of
-  /// the fingerprint — the encoding does not shape any cell's result,
-  /// so a v2 journal resumes under a v3 default and vice versa.
-  JournalFormat journal_format = JournalFormat::kV3Binary;
   /// Half-open dispatch range [cell_lo, cell_hi): cells outside it
   /// are neither executed nor counted (the sharding hook — run
   /// disjoint ranges in separate processes, `merge_journals` their

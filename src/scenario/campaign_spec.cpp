@@ -65,7 +65,6 @@ runtime::McConfig to_mc_config(const CampaignSpec& spec,
   config.threads = spec.threads;
   config.journal_path = spec.journal;
   config.resume = spec.resume;
-  config.journal_format = spec.journal_format;
   config.cell_lo = spec.cell_lo;
   config.cell_hi = spec.cell_hi;
   config.cell_timeout = spec.cell_timeout;
@@ -192,22 +191,6 @@ void read_fixed_offset(CampaignSpec& spec, const JsonValue& value,
   spec.fixed_offset = value.as_double(site.name);
 }
 
-void parse_journal_format(CampaignSpec& spec, std::string_view text,
-                          const Site& site) {
-  if (text == "v2") {
-    spec.journal_format = runtime::JournalFormat::kV2Text;
-  } else if (text == "v3") {
-    spec.journal_format = runtime::JournalFormat::kV3Binary;
-  } else {
-    reject(site, text, "v2 or v3");
-  }
-}
-
-std::string show_journal_format(const CampaignSpec& spec) {
-  return spec.journal_format == runtime::JournalFormat::kV2Text ? "v2"
-                                                                : "v3";
-}
-
 void parse_cell_range(CampaignSpec& spec, std::string_view text,
                       const Site& site) {
   const std::size_t colon = text.find(':');
@@ -239,13 +222,8 @@ const Field<CampaignSpec> kCampaignFields[] = {
     {"--seed", "N", "campaign RNG seed", &CS::seed, "seed"},
     {"--threads", "N", "worker threads (0 = hardware)", &CS::threads},
     {"--journal", "PATH",
-     "append-only progress journal (CRC32C per\nrecord; v1/v2 text and v3 "
-     "binary journals\nall resume)",
+     "append-only progress journal (v3 binary,\nCRC32C per record)",
      &CS::journal},
-    {"--journal-format", "v2|v3",
-     "encoding of a new journal: v3 binary or\nv2 text; resuming keeps "
-     "the file's own",
-     Codec<CS>{parse_journal_format, nullptr, show_journal_format}},
     {"--resume", "",
      "skip cells already in the journal; corrupt\nor torn records are "
      "counted and re-executed",

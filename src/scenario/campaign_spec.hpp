@@ -31,8 +31,6 @@ struct CampaignSpec {
   unsigned threads = 0;
   std::string journal;
   bool resume = false;
-  /// Format for a newly created journal (resume keeps the file's own).
-  runtime::JournalFormat journal_format = runtime::JournalFormat::kV3Binary;
   /// Half-open dispatch range; the full-coverage default runs every
   /// cell. Execution knobs like journal/threads — not settable from a
   /// serve request.

@@ -33,13 +33,12 @@ std::string_view to_string(TraceKind kind) noexcept {
 void Trace::record(SimTime when, std::string actor, TraceKind kind,
                    std::string detail) {
   if (!enabled_) return;
-  TraceRecord rec{when, std::move(actor), kind, std::move(detail)};
-  if (listener_) listener_(rec);
   if (cap_ != 0 && records_.size() >= cap_) {
     ++dropped_;
     return;
   }
-  records_.push_back(std::move(rec));
+  records_.push_back(
+      TraceRecord{when, std::move(actor), kind, std::move(detail)});
 }
 
 std::size_t Trace::count(TraceKind kind) const noexcept {

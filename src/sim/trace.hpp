@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -48,12 +47,10 @@ struct TraceRecord {
   std::string detail;
 };
 
-/// Append-only trace sink with optional size cap and live listener.
+/// Append-only trace sink with optional size cap.
 /// Recording can be disabled entirely for long statistical runs.
 class Trace {
  public:
-  using Listener = std::function<void(const TraceRecord&)>;
-
   /// cap == 0 means unbounded.
   explicit Trace(bool enabled = true, std::size_t cap = 0)
       : enabled_(enabled), cap_(cap) {}
@@ -63,8 +60,6 @@ class Trace {
 
   void set_enabled(bool on) noexcept { enabled_ = on; }
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-
-  void set_listener(Listener l) { listener_ = std::move(l); }
 
   [[nodiscard]] const std::vector<TraceRecord>& records() const noexcept {
     return records_;
@@ -87,7 +82,6 @@ class Trace {
   std::size_t cap_;
   std::vector<TraceRecord> records_;
   std::size_t dropped_ = 0;
-  Listener listener_;
 };
 
 }  // namespace vds::sim

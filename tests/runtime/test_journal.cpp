@@ -48,6 +48,26 @@ JournalRecord sample_record(std::uint64_t index) {
   return record;
 }
 
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+/// One v3 record frame around `payload`: marker, payload length,
+/// payload, CRC32C (little-endian), '\n'.
+std::string v3_frame(const std::string& payload) {
+  const std::uint32_t crc = crc32c(payload.data(), payload.size());
+  std::string frame = {'\xA5', static_cast<char>(payload.size())};
+  frame += payload;
+  for (int k = 0; k < 4; ++k) frame += static_cast<char>(crc >> (8 * k));
+  return frame + '\n';
+}
+
 TEST_F(JournalTest, MissingFileLoadsEmpty) {
   const JournalLoad load = Journal::load(path_, 1);
   EXPECT_TRUE(load.records.empty());
@@ -93,21 +113,6 @@ TEST_F(JournalTest, RoundTripIsBitwiseExact) {
   EXPECT_EQ(records[1], sample_record(7));
   EXPECT_EQ(records[2].recovery_time, 5e-324);
   EXPECT_EQ(records[2].total_time, 1.7976931348623157e308);
-}
-
-TEST_F(JournalTest, RoundTripIsBitwiseExactV2Text) {
-  const std::uint64_t fp = 0xabcdef12345678ull;
-  {
-    Journal journal(path_, fp, JournalFormat::kV2Text);
-    journal.append(sample_record(0));
-    journal.append(awkward_record());
-  }
-  const JournalLoad load = Journal::load(path_, fp);
-  EXPECT_EQ(load.version, 2);
-  EXPECT_EQ(load.corrupt, 0u);
-  ASSERT_EQ(load.records.size(), 2u);
-  EXPECT_EQ(load.records[0], sample_record(0));
-  EXPECT_EQ(load.records[1], awkward_record());
 }
 
 TEST_F(JournalTest, V3NegativeZeroSurvivesBitwise) {
@@ -194,16 +199,17 @@ TEST_F(JournalTest, HeaderWriteFailureThrowsFromConstructor) {
 }
 
 TEST_F(JournalTest, TornFinalLineIsCountedCorrupt) {
+  std::uintmax_t first_end = 0;
   {
     Journal journal(path_, 3);
     journal.append(sample_record(0));
+    first_end = std::filesystem::file_size(path_);
     journal.append(sample_record(1));
   }
-  {
-    // Simulate a kill mid-write: a record missing its newline.
-    std::ofstream out(path_, std::ios::app);
-    out << "cell 2 1 0x1p+0 0x1p+0 0x1";
-  }
+  // Simulate a kill mid-write: half of one more record, no newline.
+  std::string bytes = read_bytes(path_);
+  bytes += bytes.substr(first_end, (bytes.size() - first_end) / 2);
+  write_bytes(path_, bytes);
   const JournalLoad load = Journal::load(path_, 3);
   ASSERT_EQ(load.records.size(), 2u);
   EXPECT_EQ(load.records[1].index, 1u);
@@ -264,101 +270,38 @@ TEST_F(JournalTest, ChecksummedGarbageBodyIsCounted) {
     journal.append(sample_record(0));
   }
   {
-    // A line whose CRC matches but whose body is not a record: the
-    // checksum alone must not be a free pass into the record list.
-    std::ofstream out(path_, std::ios::app);
-    const std::string body = "cell zero is not a number";
-    char crc[16];
-    std::snprintf(crc, sizeof crc, " #%08x", crc32c(body));
-    out << body << crc << '\n';
+    // A well-framed record whose CRC matches but whose payload is not
+    // a record (unknown flag bits): the checksum alone must not be a
+    // free pass into the record list.
+    std::ofstream out(path_, std::ios::app | std::ios::binary);
+    out << v3_frame(std::string("\x80\x00\x00\x00\x00\x00", 6));
   }
   const JournalLoad load = Journal::load(path_, 7);
   EXPECT_EQ(load.corrupt, 1u);
   ASSERT_EQ(load.records.size(), 1u);
 }
 
-TEST_F(JournalTest, V1JournalStillLoads) {
-  {
-    // A file exactly as the pre-CRC writer produced it.
-    std::ofstream out(path_);
-    out << "vds-mc-journal v1 fingerprint 0000000000000009\n";
-    out << "cell 0 1 0x1.3333333333333p-2 0x1.5555555555555p-2 "
-           "0x1.f400000002af8p+9 60\n";
-    out << "cell 3 2 -0x1p+0 0x0p+0 0x1p+4 12\n";
-  }
-  const JournalLoad load = Journal::load(path_, 9);
-  EXPECT_EQ(load.version, 1);
-  EXPECT_EQ(load.corrupt, 0u);
-  ASSERT_EQ(load.records.size(), 2u);
-  EXPECT_EQ(load.records[0].index, 0u);
-  EXPECT_EQ(load.records[0].rounds_committed, 60u);
-  EXPECT_EQ(load.records[1].index, 3u);
-  EXPECT_EQ(load.records[1].outcome, 2);
-}
-
-TEST_F(JournalTest, UnchecksummedLineInV2FileIsCorrupt) {
-  {
-    Journal journal(path_, 8, JournalFormat::kV2Text);
-    journal.append(sample_record(0));
-  }
-  {
-    // v2 files promise a CRC on every record; a bare v1-style line in
-    // one means the suffix was destroyed.
-    std::ofstream out(path_, std::ios::app);
-    out << "cell 1 1 0x1p+0 0x1p+0 0x1p+0 60\n";
-  }
-  const JournalLoad load = Journal::load(path_, 8);
-  EXPECT_EQ(load.corrupt, 1u);
-  ASSERT_EQ(load.records.size(), 1u);
-}
-
-TEST_F(JournalTest, EmbeddedNulDoesNotEatLaterRecords) {
-  // Regression: the old reader treated any line without a trailing
-  // '\n' in its scan buffer as the torn final line and stopped -- a
-  // single NUL byte inside one damaged line silently discarded every
-  // valid record after it. Only an EOF without a newline is a torn
-  // tail; an interior NUL is one corrupt line.
-  {
-    Journal journal(path_, 12, JournalFormat::kV2Text);
-    journal.append(sample_record(0));
-  }
-  {
-    std::ofstream out(path_, std::ios::app | std::ios::binary);
-    out << "cell 1 1 0x1p";
-    out.put('\0');
-    out << "+0 0x1p+0 0x1p+0 60 #00000000\n";
-  }
-  {
-    Journal journal(path_, 12);  // reopen keeps appending v2 text
-    journal.append(sample_record(2));
-  }
-  const JournalLoad load = Journal::load(path_, 12);
-  EXPECT_EQ(load.corrupt, 1u);
-  ASSERT_EQ(load.records.size(), 2u);
-  EXPECT_EQ(load.records[0].index, 0u);
-  EXPECT_EQ(load.records[1].index, 2u);
-}
-
-TEST_F(JournalTest, OverlongGarbageLineDoesNotEatLaterRecords) {
-  // Regression: a line longer than the old 255-byte read buffer was
-  // split into a chunk with no '\n', which the reader mistook for the
-  // torn final line -- discarding all later records.
-  {
-    Journal journal(path_, 13, JournalFormat::kV2Text);
-    journal.append(sample_record(0));
-  }
-  {
-    std::ofstream out(path_, std::ios::app);
-    out << std::string(700, 'x') << '\n';
-  }
-  {
-    Journal journal(path_, 13);
-    journal.append(sample_record(2));
-  }
-  const JournalLoad load = Journal::load(path_, 13);
-  EXPECT_EQ(load.corrupt, 1u);
-  ASSERT_EQ(load.records.size(), 2u);
-  EXPECT_EQ(load.records[1].index, 2u);
+TEST_F(JournalTest, TextJournalIsRefusedAndLeftUnchanged) {
+  // A text journal from a build that still wrote the v2 encoding: every
+  // entry point refuses it by path, and nothing is appended to it.
+  const std::string text =
+      "vds-mc-journal v2 fingerprint 0000000000000009\n"
+      "cell 0 1 0x1p+0 0x1p+0 0x1p+0 60 #00000000\n";
+  write_bytes(path_, text);
+  const auto expect_refused = [&](const auto& open) {
+    try {
+      open();
+      FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(path_), std::string::npos) << what;
+      EXPECT_NE(what.find("unrecognized header"), std::string::npos) << what;
+    }
+  };
+  expect_refused([&] { (void)Journal::load(path_, 9); });
+  expect_refused([&] { (void)Journal::inspect(path_); });
+  expect_refused([&] { Journal journal(path_, 9); });
+  EXPECT_EQ(read_bytes(path_), text);
 }
 
 TEST_F(JournalTest, V3AdjacentDamagedRecordsEachCount) {
@@ -453,39 +396,17 @@ TEST_F(JournalTest, StopRecordsRoundTripV3) {
   EXPECT_EQ(load.stops[0], stop_record(2, 40, 0x1.91eb851eb851fp-5));
 }
 
-TEST_F(JournalTest, StopRecordsRoundTripV2Text) {
-  {
-    Journal journal(path_, 32, JournalFormat::kV2Text);
-    journal.append(sample_record(0));
-    journal.append(stop_record(7, 16, 0.031250));
-  }
-  const JournalLoad load = Journal::load(path_, 32);
-  EXPECT_EQ(load.version, 2);
-  EXPECT_EQ(load.corrupt, 0u);
-  ASSERT_EQ(load.records.size(), 1u);
-  ASSERT_EQ(load.stops.size(), 1u);
-  // The CI must survive as the exact double the decision was made on.
-  EXPECT_EQ(load.stops[0], stop_record(7, 16, 0.031250));
-}
-
 TEST_F(JournalTest, DamagedStopRecordIsCountedCorrupt) {
+  std::uintmax_t stop_at = 0;
   {
-    Journal journal(path_, 33, JournalFormat::kV2Text);
+    Journal journal(path_, 33);
     journal.append(sample_record(0));
+    stop_at = std::filesystem::file_size(path_);
     journal.append(stop_record(3, 24, 0.05));
   }
-  std::string text;
-  {
-    std::ifstream in(path_, std::ios::binary);
-    text.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  const std::size_t pos = text.find("stop ");
-  ASSERT_NE(pos, std::string::npos);
-  text[pos + 5] ^= 0x01;  // corrupt the stratum digit
-  {
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    out << text;
-  }
+  std::string bytes = read_bytes(path_);
+  bytes[stop_at + 3] ^= 0x01;  // the stratum varint, inside the CRC
+  write_bytes(path_, bytes);
   const JournalLoad load = Journal::load(path_, 33);
   EXPECT_EQ(load.corrupt, 1u);
   EXPECT_TRUE(load.stops.empty());
@@ -508,7 +429,7 @@ TEST_F(JournalMergeTest, DisjointShardsConcatenateSorted) {
     Journal a(shard(0), 21);
     a.append(sample_record(4));
     a.append(sample_record(0));
-    Journal b(shard(1), 21, JournalFormat::kV2Text);  // mixed encodings
+    Journal b(shard(1), 21);
     b.append(sample_record(2));
   }
   const JournalMergeStats stats =

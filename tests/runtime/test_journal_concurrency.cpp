@@ -74,18 +74,15 @@ bool bitwise_equal(const JournalRecord& a, const JournalRecord& b) {
          a.lease_cells == b.lease_cells;
 }
 
-class JournalConcurrencyTest : public ::testing::TestWithParam<JournalFormat> {
+class JournalConcurrencyTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    std::string stem = "vds_journal_concurrency_" +
-                       std::string(::testing::UnitTest::GetInstance()
-                                       ->current_test_info()
-                                       ->name());
-    // Parameterized test names carry a '/' — not a path separator here.
-    for (char& c : stem) {
-      if (c == '/') c = '_';
-    }
-    path_ = (std::filesystem::temp_directory_path() / (stem + ".journal"))
+    path_ = (std::filesystem::temp_directory_path() /
+             ("vds_journal_concurrency_" +
+              std::string(::testing::UnitTest::GetInstance()
+                              ->current_test_info()
+                              ->name()) +
+              ".journal"))
                 .string();
     std::remove(path_.c_str());
   }
@@ -94,9 +91,9 @@ class JournalConcurrencyTest : public ::testing::TestWithParam<JournalFormat> {
   std::string path_;
 };
 
-TEST_P(JournalConcurrencyTest, EveryRecordLandsExactlyOnceAndWhole) {
+TEST_F(JournalConcurrencyTest, EveryRecordLandsExactlyOnceAndWhole) {
   {
-    Journal journal(path_, kFingerprint, GetParam());
+    Journal journal(path_, kFingerprint);
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&journal, t] {
@@ -111,7 +108,7 @@ TEST_P(JournalConcurrencyTest, EveryRecordLandsExactlyOnceAndWhole) {
     EXPECT_FALSE(journal.failed());
   }
   const JournalLoad load = Journal::load(path_, kFingerprint);
-  EXPECT_EQ(load.version, static_cast<int>(GetParam()));
+  EXPECT_EQ(load.version, 3);
   EXPECT_EQ(load.corrupt, 0u);
   std::vector<JournalRecord> all = load.records;
   all.insert(all.end(), load.stops.begin(), load.stops.end());
@@ -125,15 +122,6 @@ TEST_P(JournalConcurrencyTest, EveryRecordLandsExactlyOnceAndWhole) {
     ASSERT_TRUE(bitwise_equal(all[i], mixed_record(i))) << "record " << i;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Formats, JournalConcurrencyTest,
-                         ::testing::Values(JournalFormat::kV2Text,
-                                           JournalFormat::kV3Binary),
-                         [](const auto& info) {
-                           return info.param == JournalFormat::kV2Text
-                                      ? std::string("v2")
-                                      : std::string("v3");
-                         });
 
 TEST(JournalConcurrency, PoisonedJournalRefusesEveryWriter) {
   // /dev/full fails every write with ENOSPC: no append from any thread

@@ -1,4 +1,4 @@
-// Lease (fabric assignment-log) records in the journal layer: v2/v3
+// Lease (fabric assignment-log) records in the journal layer:
 // round-trips, resume-reader routing, and merge passthrough.
 
 #include "runtime/journal.hpp"
@@ -17,14 +17,10 @@ class JournalLeaseTest : public ::testing::Test {
  protected:
   void SetUp() override {
     const auto dir = std::filesystem::temp_directory_path();
-    std::string stem = "vds_journal_lease_" +
-                       std::string(::testing::UnitTest::GetInstance()
-                                       ->current_test_info()
-                                       ->name());
-    // Parameterized test names carry a '/' — not a path separator here.
-    for (char& c : stem) {
-      if (c == '/') c = '_';
-    }
+    const std::string stem = "vds_journal_lease_" +
+                             std::string(::testing::UnitTest::GetInstance()
+                                             ->current_test_info()
+                                             ->name());
     path_ = (dir / (stem + ".journal")).string();
     other_ = (dir / (stem + "_other.journal")).string();
     merged_ = (dir / (stem + "_merged.journal")).string();
@@ -83,11 +79,7 @@ void expect_lease_equal(const JournalRecord& got, const JournalRecord& want) {
   }
 }
 
-class JournalLeaseFormatTest
-    : public JournalLeaseTest,
-      public ::testing::WithParamInterface<JournalFormat> {};
-
-TEST_P(JournalLeaseFormatTest, RoundTripsAllThreeEvents) {
+TEST_F(JournalLeaseTest, RoundTripsAllThreeEvents) {
   const std::vector<JournalRecord> events = {
       lease_record(LeaseEvent::kGranted, 0, 1),
       lease_record(LeaseEvent::kExpired, 0, 1),
@@ -96,7 +88,7 @@ TEST_P(JournalLeaseFormatTest, RoundTripsAllThreeEvents) {
       lease_record(LeaseEvent::kCompleted, 7, 1),
   };
   {
-    Journal journal(path_, /*fingerprint=*/42, GetParam());
+    Journal journal(path_, /*fingerprint=*/42);
     for (const JournalRecord& record : events) journal.append(record);
   }
   const JournalLoad loaded = Journal::load(path_, 42);
@@ -108,9 +100,9 @@ TEST_P(JournalLeaseFormatTest, RoundTripsAllThreeEvents) {
   }
 }
 
-TEST_P(JournalLeaseFormatTest, LeaseAndCellRecordsCoexist) {
+TEST_F(JournalLeaseTest, LeaseAndCellRecordsCoexist) {
   {
-    Journal journal(path_, 7, GetParam());
+    Journal journal(path_, 7);
     journal.append(lease_record(LeaseEvent::kGranted, 1, 1));
     journal.append(cell_record(1234));
     journal.append(lease_record(LeaseEvent::kCompleted, 1, 1));
@@ -123,31 +115,22 @@ TEST_P(JournalLeaseFormatTest, LeaseAndCellRecordsCoexist) {
   EXPECT_EQ(loaded.leases[1].lease_event, LeaseEvent::kCompleted);
 }
 
-INSTANTIATE_TEST_SUITE_P(Formats, JournalLeaseFormatTest,
-                         ::testing::Values(JournalFormat::kV2Text,
-                                           JournalFormat::kV3Binary),
-                         [](const auto& info) {
-                           return info.param == JournalFormat::kV2Text
-                                      ? "v2"
-                                      : "v3";
-                         });
-
 TEST_F(JournalLeaseTest, MergeCopiesLeaseEventsThroughInInputOrder) {
   {
-    Journal a(path_, 9, JournalFormat::kV3Binary);
+    Journal a(path_, 9);
     a.append(cell_record(1));
     a.append(lease_record(LeaseEvent::kGranted, 0, 1));
     a.append(lease_record(LeaseEvent::kCompleted, 0, 1));
   }
   {
-    Journal b(other_, 9, JournalFormat::kV2Text);
+    Journal b(other_, 9);
     b.append(cell_record(2));
     // Identical grant event in the second shard: lease events are
     // history, not state — they must never be coalesced away.
     b.append(lease_record(LeaseEvent::kGranted, 0, 1));
   }
   const JournalMergeStats stats =
-      merge_journals({path_, other_}, merged_, JournalFormat::kV3Binary);
+      merge_journals({path_, other_}, merged_);
   EXPECT_EQ(stats.records_out, 5u);
   const JournalLoad loaded = Journal::load(merged_, 9);
   EXPECT_EQ(loaded.records.size(), 2u);
@@ -157,27 +140,9 @@ TEST_F(JournalLeaseTest, MergeCopiesLeaseEventsThroughInInputOrder) {
   EXPECT_EQ(loaded.leases[2].lease_event, LeaseEvent::kGranted);
 }
 
-TEST_F(JournalLeaseTest, V2TextLineIsTheDocumentedShape) {
-  {
-    Journal journal(path_, 3, JournalFormat::kV2Text);
-    journal.append(lease_record(LeaseEvent::kCompleted, 2, 4));
-  }
-  std::string text;
-  {
-    std::FILE* file = std::fopen(path_.c_str(), "rb");
-    ASSERT_NE(file, nullptr);
-    char buf[512];
-    while (std::fgets(buf, sizeof buf, file)) text += buf;
-    std::fclose(file);
-  }
-  // lease EVENT ID ATTEMPT LO HI DIGEST CELLS (then the checksum frame).
-  EXPECT_NE(text.find("lease completed 2 4 2000 3000"), std::string::npos)
-      << text;
-}
-
 TEST_F(JournalLeaseTest, TruncatedLeasePayloadCountsCorrupt) {
   {
-    Journal journal(path_, 5, JournalFormat::kV3Binary);
+    Journal journal(path_, 5);
     journal.append(lease_record(LeaseEvent::kGranted, 1, 1));
     journal.append(lease_record(LeaseEvent::kCompleted, 1, 1));
   }

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -145,6 +146,28 @@ TEST(McCampaign, FingerprintCoversGridAndSeed) {
   EXPECT_EQ(base.fingerprint(), small_config().fingerprint());
 }
 
+/// A journal file cut into its header and its records, each record as
+/// its raw v3 frame (marker, payload length, payload, CRC32C, '\n').
+struct JournalBytes {
+  std::string header;
+  std::vector<std::string> records;
+};
+
+JournalBytes split_journal(const std::string& path) {
+  constexpr std::size_t kHeaderBytes = 21;
+  std::ifstream in(path, std::ios::binary);
+  const std::string data(std::istreambuf_iterator<char>(in), {});
+  JournalBytes out;
+  out.header = data.substr(0, kHeaderBytes);
+  for (std::size_t pos = kHeaderBytes; pos < data.size();) {
+    const std::size_t frame =
+        2 + static_cast<unsigned char>(data[pos + 1]) + 4 + 1;
+    out.records.push_back(data.substr(pos, frame));
+    pos += frame;
+  }
+  return out;
+}
+
 class McJournalTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -165,28 +188,23 @@ class McJournalTest : public ::testing::Test {
 TEST_F(McJournalTest, ResumeSkipsJournaledCellsAndMatchesUninterrupted) {
   const McRunner runner = make_smt_runner(engine_options());
 
-  // Uninterrupted reference run (journaled as v2 text: the surgery
-  // below edits whole lines).
+  // Uninterrupted reference run.
   McConfig config = small_config();
   config.threads = 2;
   config.journal_path = path_;
-  config.journal_format = JournalFormat::kV2Text;
   const McSummary reference = run_mc_campaign(config, runner);
   EXPECT_EQ(reference.cells_executed, 96u);
 
   // Simulate a kill mid-campaign: keep the header and the first 40
-  // complete records, tear the last line.
-  std::vector<std::string> lines;
+  // complete records, then half of the next one.
+  const JournalBytes journal = split_journal(path_);
+  ASSERT_EQ(journal.records.size(), 96u);
   {
-    std::ifstream in(path_);
-    std::string line;
-    while (std::getline(in, line)) lines.push_back(line);
-  }
-  ASSERT_GT(lines.size(), 41u);
-  {
-    std::ofstream out(path_, std::ios::trunc);
-    for (std::size_t k = 0; k < 41; ++k) out << lines[k] << "\n";
-    out << "cell 90 1 0x1";  // torn write at the kill instant
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out << journal.header;
+    for (std::size_t k = 0; k < 40; ++k) out << journal.records[k];
+    // The torn write at the kill instant.
+    out << journal.records[40].substr(0, journal.records[40].size() / 2);
   }
 
   // Relaunch with --resume semantics.
@@ -194,7 +212,7 @@ TEST_F(McJournalTest, ResumeSkipsJournaledCellsAndMatchesUninterrupted) {
   const McSummary resumed = run_mc_campaign(config, runner);
   EXPECT_EQ(resumed.cells_resumed, 40u);
   EXPECT_EQ(resumed.cells_executed, 56u);
-  EXPECT_EQ(resumed.records_corrupt, 1u);  // the torn line
+  EXPECT_EQ(resumed.records_corrupt, 1u);  // the torn record
   expect_bitwise_equal(reference, resumed);
 }
 
@@ -288,87 +306,6 @@ TEST_F(McJournalTest, TornJournalWritesResumeToGoldenDigest) {
   // the checksum rejects the merged wreckage and both cells re-run.
   config.journal_path = path_;
   config.chaos = "journal.torn=0.2";
-  (void)run_mc_campaign(config, runner);
-
-  config.chaos.clear();
-  config.resume = true;
-  const McSummary resumed = run_mc_campaign(config, runner);
-  EXPECT_GT(resumed.records_corrupt, 0u);
-  EXPECT_EQ(resumed.cells_resumed + resumed.cells_executed, 96u);
-  expect_bitwise_equal(reference, resumed);
-}
-
-TEST_F(McJournalTest, V1JournalResumesWithoutReExecution) {
-  const McRunner runner = make_smt_runner(engine_options());
-  McConfig config = small_config();
-  config.threads = 2;
-  config.journal_path = path_;
-  config.journal_format = JournalFormat::kV2Text;
-  const McSummary reference = run_mc_campaign(config, runner);
-
-  // Rewrite the journal exactly as the pre-CRC v1 writer left it:
-  // v1 header, no checksum suffixes.
-  std::vector<std::string> lines;
-  {
-    std::ifstream in(path_);
-    std::string line;
-    while (std::getline(in, line)) lines.push_back(line);
-  }
-  ASSERT_EQ(lines.size(), 97u);
-  {
-    std::ofstream out(path_, std::ios::trunc);
-    const std::size_t v = lines[0].find("v2");
-    ASSERT_NE(v, std::string::npos);
-    lines[0][v + 1] = '1';
-    out << lines[0] << "\n";
-    for (std::size_t k = 1; k < lines.size(); ++k) {
-      out << lines[k].substr(0, lines[k].rfind(" #")) << "\n";
-    }
-  }
-
-  // Resume with the default (v3 binary) format requested: the reader
-  // recognises the v1 file and no cell re-executes.
-  config.resume = true;
-  config.journal_format = JournalFormat::kV3Binary;
-  const McSummary resumed = run_mc_campaign(config, runner);
-  EXPECT_EQ(resumed.cells_resumed, 96u);
-  EXPECT_EQ(resumed.cells_executed, 0u);
-  EXPECT_EQ(resumed.records_corrupt, 0u);
-  expect_bitwise_equal(reference, resumed);
-}
-
-TEST_F(McJournalTest, V2JournalResumesUnderV3DefaultConfig) {
-  // A campaign journaled as v2 text, resumed by a binary-default
-  // binary (the upgrade path): the reader adopts the file's format,
-  // nothing re-executes, and the journal stays text.
-  const McRunner runner = make_smt_runner(engine_options());
-  McConfig config = small_config();
-  config.threads = 2;
-  config.journal_path = path_;
-  config.journal_format = JournalFormat::kV2Text;
-  const McSummary reference = run_mc_campaign(config, runner);
-
-  config.resume = true;
-  config.journal_format = JournalFormat::kV3Binary;
-  const McSummary resumed = run_mc_campaign(config, runner);
-  EXPECT_EQ(resumed.cells_resumed, 96u);
-  EXPECT_EQ(resumed.cells_executed, 0u);
-  expect_bitwise_equal(reference, resumed);
-  EXPECT_EQ(Journal::inspect(path_).version, 2);
-}
-
-TEST_F(McJournalTest, V2ChaosJournalResumesToGoldenDigest) {
-  // The bit-flip + torn chaos matrix against the text encoding; the
-  // default-format chaos coverage lives in the two tests above.
-  const McRunner runner = make_smt_runner(engine_options());
-  McConfig config = small_config();
-  config.threads = 2;
-  config.journal_format = JournalFormat::kV2Text;
-
-  const McSummary reference = run_mc_campaign(config, runner);
-
-  config.journal_path = path_;
-  config.chaos = "journal.corrupt=0.2,journal.torn=0.1";
   (void)run_mc_campaign(config, runner);
 
   config.chaos.clear();
@@ -788,7 +725,7 @@ TEST_F(McJournalTest, SamplingResumeReplaysStoppingPointsExactly) {
 }
 
 TEST_F(McJournalTest, SamplingKillAcrossStopBoundaryResumesToFullDigest) {
-  // Simulates a mid-campaign kill by truncating a text journal to a
+  // Simulates a mid-campaign kill by truncating the journal to a
   // prefix of its records — cells may be missing, stop records may be
   // lost. The resume must re-derive the same stopping points and
   // reproduce the uninterrupted digest.
@@ -796,20 +733,16 @@ TEST_F(McJournalTest, SamplingKillAcrossStopBoundaryResumesToFullDigest) {
   McConfig config = sampling_config();
   config.threads = 2;
   config.journal_path = path_;
-  config.journal_format = JournalFormat::kV2Text;
   const McSummary reference = run_mc_campaign(config, runner);
 
-  std::vector<std::string> lines;
+  const JournalBytes journal = split_journal(path_);
+  ASSERT_GT(journal.records.size(), 10u);
   {
-    std::ifstream in(path_);
-    std::string line;
-    while (std::getline(in, line)) lines.push_back(line);
-  }
-  ASSERT_GT(lines.size(), 10u);
-  const std::size_t keep = 1 + (lines.size() - 1) / 3;  // header + prefix
-  {
-    std::ofstream out(path_, std::ios::trunc);
-    for (std::size_t i = 0; i < keep; ++i) out << lines[i] << "\n";
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out << journal.header;
+    for (std::size_t i = 0; i < journal.records.size() / 3; ++i) {
+      out << journal.records[i];
+    }
   }
 
   config.resume = true;

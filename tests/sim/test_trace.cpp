@@ -44,14 +44,6 @@ TEST(Trace, CountByKind) {
   EXPECT_EQ(trace.count(TraceKind::kRollback), 0u);
 }
 
-TEST(Trace, ListenerSeesEveryRecordEvenPastCap) {
-  Trace trace(true, /*cap=*/1);
-  int seen = 0;
-  trace.set_listener([&](const TraceRecord&) { ++seen; });
-  for (int k = 0; k < 4; ++k) trace.record(k, "x", TraceKind::kInfo);
-  EXPECT_EQ(seen, 4);
-}
-
 TEST(Trace, ClearResets) {
   Trace trace(true, 1);
   trace.record(0.0, "x", TraceKind::kInfo);

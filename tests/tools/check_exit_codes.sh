@@ -58,6 +58,7 @@ expect 2 "$mc" --grid 0                # invalid grid value
 expect 2 "$mc" --chaos cell.explode=1  # unknown chaos site
 expect 2 "$mc" --chaos cell.fail=2     # probability out of range
 expect 2 "$mc" --cell-range 5:5        # inverted/empty dispatch window
+expect 2 "$mc" --journal-format v3     # retired: one journal encoding
 expect 2 "$mc" --target-ci -0.5        # a CI target is >= 0 (0 = off)
 expect 2 "$mc" --replicas 0            # the grid needs a replica
 expect 2 "$mc" --rate 5                # single-run flag: campaigns draw
@@ -137,12 +138,20 @@ expect 3 "$mc" --quiet --replicas 1 --grid 1 --kinds transient \
 
 # 3: shards that disagree about a stopping point refuse to merge, with
 # the one canonical diagnostic. Honest runs cannot produce this (the
-# CI target is part of the fingerprint), so the conflicting v2 shard
-# journals are written by hand — checksums precomputed.
-printf 'vds-mc-journal v2 fingerprint 00000000000000aa\nstop 3 16 0x1p-5 #46a7e714\n' \
+# CI target is part of the fingerprint), so the conflicting shard
+# journals are written by hand as v3 bytes (docs/SCHEMAS.md §6):
+# header = magic "vdsjrnl\0", u32 version 3, u64 fingerprint 0xaa, \n;
+# record = 0xA5, payload length 11, stop payload (flags 0x04, stratum
+# 3, stop_after 16 or 24, f64 achieved_ci 0x1p-5 or 0x1p-6), CRC32C of
+# the payload (precomputed), \n.
+header='vdsjrnl\x00\x03\x00\x00\x00\xaa\x00\x00\x00\x00\x00\x00\x00\n'
+printf "$header"'\xa5\x0b\x04\x03\x10\x00\x00\x00\x00\x00\x00\xa0\x3f\xb1\x81\x6b\x3b\n' \
   > "$tmp/stop_a.journal"
-printf 'vds-mc-journal v2 fingerprint 00000000000000aa\nstop 3 24 0x1p-6 #de20e287\n' \
+printf "$header"'\xa5\x0b\x04\x03\x18\x00\x00\x00\x00\x00\x00\x90\x3f\xa5\x61\x56\xc3\n' \
   > "$tmp/stop_b.journal"
+# 2: the retired output-encoding flag is an unknown flag now.
+expect 2 "$journal_tool" merge "$tmp/stop_a.journal" --out "$tmp/fmt.journal" \
+  --format v3
 expect 3 "$journal_tool" merge "$tmp/stop_a.journal" "$tmp/stop_b.journal" \
   --out "$tmp/stop_m.journal"
 expect_message "(same fingerprint, different stopping point); the shards disagree — refusing to merge" \

@@ -1,23 +1,24 @@
 #!/usr/bin/env bash
-# Journal format compatibility, end to end across processes:
-#   1. a v3 (default) campaign resumes to the fresh-run digest and
-#      vds_journal verify/inspect agree with it;
-#   2. a v2 text campaign resumes under a v3-default relaunch without
-#      re-executing a cell, and the journal stays text;
-#   3. a v1 journal (derived from the v2 file exactly as the pre-CRC
-#      writer left it) resumes to the same digest;
-#   4. a bit-flipped v3 journal is flagged by vds_journal verify
-#      (exit 1) and still resumes to the golden digest;
-#   5. three --cell-range shards (one v2, one overlapping) merge into
-#      one journal whose full-range resume reproduces the
-#      single-process digest without executing a cell;
-#   6. merging journals of different campaigns is refused (exit 3).
+# The campaign journal, end to end across processes:
+#   1. a campaign resumes to the fresh-run digest and vds_journal
+#      verify/inspect agree with it;
+#   2. a text journal written by an older build (the retired v1/v2
+#      encodings) is refused by vds_mc --resume, vds_journal
+#      verify/inspect/merge and vds_fabric --resume: exit 3, the path
+#      in the message, the file left byte-identical;
+#   3. a bit-flipped journal is flagged by vds_journal verify (exit 1)
+#      and still resumes to the golden digest;
+#   4. three --cell-range shards (one overlapping) merge into one
+#      journal whose full-range resume reproduces the single-process
+#      digest without executing a cell;
+#   5. merging journals of different campaigns is refused (exit 3).
 # Usage: check_journal.sh BUILD_DIR
 set -u
 
 build="${1:?usage: check_journal.sh BUILD_DIR}"
 mc="$build/tools/vds_mc"
 jr="$build/tools/vds_journal"
+fabric="$build/tools/vds_fabric"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
@@ -38,7 +39,7 @@ digest_of() { grep -o '"digest": "[0-9a-f]*"' "$1"; }
 ref=$(digest_of "$tmp/reference.json")
 [ -n "$ref" ] || fail "reference snapshot has no digest"
 
-# --- 1. v3 default: run, verify, inspect, resume ----------------------
+# --- 1. run, verify, inspect, resume ----------------------------------
 "$mc" "${flags[@]}" --journal "$tmp/v3.journal" > /dev/null ||
   fail "v3 campaign failed"
 "$jr" verify "$tmp/v3.journal" > "$tmp/v3.verify" ||
@@ -57,34 +58,47 @@ grep -q '"records": 80' "$tmp/v3.info" || fail "inspect missing 80 records"
 grep -q '"cells_executed": 0' "$tmp/v3.resumed.json" ||
   fail "v3 resume re-executed cells"
 
-# --- 2. v2 text written, resumed by a v3-default relaunch -------------
-"$mc" "${flags[@]}" --journal-format v2 --journal "$tmp/v2.journal" \
-  > /dev/null || fail "v2 campaign failed"
-head -c 17 "$tmp/v2.journal" | grep -q 'vds-mc-journal v2' ||
-  fail "v2 journal does not start with the text header"
-"$mc" "${flags[@]}" --journal "$tmp/v2.journal" --resume \
-  --json-out "$tmp/v2.resumed.json" > /dev/null ||
-  fail "v3-default resume of v2 journal failed"
-[ "$(digest_of "$tmp/v2.resumed.json")" = "$ref" ] ||
-  fail "v2->v3-default resume digest differs"
-grep -q '"cells_executed": 0' "$tmp/v2.resumed.json" ||
-  fail "v2 resume re-executed cells"
-head -c 17 "$tmp/v2.journal" | grep -q 'vds-mc-journal v2' ||
-  fail "resume converted the v2 journal in place"
+# --- 2. a text journal from an older build is refused, untouched -----
+printf 'vds-mc-journal v2 fingerprint 0000000000000009\ncell 0 1 0x1p+0 0x1p+0 0x1p+0 60 #00000000\n' \
+  > "$tmp/text.journal"
+cp "$tmp/text.journal" "$tmp/text.orig"
+# refused WHAT CMD...: CMD must exit 3, name the journal on stderr and
+# leave it byte-identical.
+refused() {
+  local what="$1"; shift
+  "$@" > /dev/null 2> "$tmp/text.err"
+  local code=$?
+  [ "$code" -eq 3 ] || fail "$what of a text journal: exit $code (want 3)"
+  grep -qF "$tmp/text.journal" "$tmp/text.err" ||
+    fail "$what of a text journal does not name it: $(cat "$tmp/text.err")"
+  cmp -s "$tmp/text.journal" "$tmp/text.orig" ||
+    fail "$what changed the text journal"
+}
+refused "vds_mc --resume" \
+  "$mc" "${flags[@]}" --journal "$tmp/text.journal" --resume
+refused "vds_journal verify" "$jr" verify "$tmp/text.journal"
+refused "vds_journal inspect" "$jr" inspect "$tmp/text.journal"
+refused "vds_journal merge" \
+  "$jr" merge "$tmp/text.journal" --out "$tmp/text.merged"
+mkdir -p "$tmp/text.work"
+cp "$tmp/text.orig" "$tmp/text.work/assignment.journal"
+"$fabric" --coordinate --socket "$tmp/text.sock" --workdir "$tmp/text.work" \
+  --resume "${flags[@]}" > /dev/null 2> "$tmp/text.err" &
+coordinator=$!
+for _ in $(seq 100); do
+  kill -0 "$coordinator" 2> /dev/null || break
+  sleep 0.1
+done
+kill "$coordinator" 2> /dev/null
+wait "$coordinator"
+code=$?
+[ "$code" -eq 3 ] || fail "vds_fabric --resume of a text log: exit $code (want 3)"
+grep -qF "$tmp/text.work/assignment.journal" "$tmp/text.err" ||
+  fail "vds_fabric does not name the text log: $(cat "$tmp/text.err")"
+cmp -s "$tmp/text.work/assignment.journal" "$tmp/text.orig" ||
+  fail "vds_fabric --resume changed the text log"
 
-# --- 3. v1 journal (strip CRCs from the v2 file) ----------------------
-sed -e '1s/ v2 / v1 /' -e 's/ #[0-9a-f]\{8\}$//' "$tmp/v2.journal" \
-  > "$tmp/v1.journal"
-"$jr" verify "$tmp/v1.journal" > "$tmp/v1.verify" ||
-  fail "verify flagged the derived v1 journal"
-grep -q 'v1 .*records 80 corrupt 0' "$tmp/v1.verify" ||
-  fail "v1 verify summary wrong: $(cat "$tmp/v1.verify")"
-"$mc" "${flags[@]}" --journal "$tmp/v1.journal" --resume \
-  --json-out "$tmp/v1.resumed.json" > /dev/null || fail "v1 resume failed"
-[ "$(digest_of "$tmp/v1.resumed.json")" = "$ref" ] ||
-  fail "v1 resume digest differs"
-
-# --- 4. damaged v3 journal: flagged, then healed by resume ------------
+# --- 3. damaged journal: flagged, then healed by resume ---------------
 cp "$tmp/v3.journal" "$tmp/bad.journal"
 # Flip one byte inside the third record's payload (the header is 21
 # bytes; records are small, so offset 100 is safely past two records).
@@ -99,11 +113,11 @@ grep -q 'DAMAGED' "$tmp/bad.verify" || fail "verify did not say DAMAGED"
 [ "$(digest_of "$tmp/bad.resumed.json")" = "$ref" ] ||
   fail "damaged-journal resume digest differs"
 
-# --- 5. sharded campaign: three --cell-range windows, merged ----------
+# --- 4. sharded campaign: three --cell-range windows, merged ----------
 "$mc" "${flags[@]}" --cell-range 0:30 --journal "$tmp/shard-a.journal" \
   > /dev/null || fail "shard a failed"
-"$mc" "${flags[@]}" --cell-range 30:60 --journal-format v2 \
-  --journal "$tmp/shard-b.journal" > /dev/null || fail "shard b failed"
+"$mc" "${flags[@]}" --cell-range 30:60 --journal "$tmp/shard-b.journal" \
+  > /dev/null || fail "shard b failed"
 "$mc" "${flags[@]}" --cell-range 50:80 --journal "$tmp/shard-c.journal" \
   > /dev/null || fail "shard c failed"
 "$jr" merge "$tmp/shard-a.journal" "$tmp/shard-b.journal" \
@@ -121,7 +135,7 @@ grep -q '80 records (10 duplicates coalesced' "$tmp/merge.out" ||
 grep -q '"cells_executed": 0' "$tmp/merged.resumed.json" ||
   fail "merged resume re-executed cells"
 
-# --- 6. merging different campaigns is refused ------------------------
+# --- 5. merging different campaigns is refused ------------------------
 "$mc" "${flags[@]}" --seed 99 --journal "$tmp/other.journal" \
   > /dev/null || fail "other-seed campaign failed"
 "$jr" merge "$tmp/shard-a.journal" "$tmp/other.journal" \
@@ -134,4 +148,4 @@ if [ "$failures" -ne 0 ]; then
   echo "journal compatibility: $failures problem(s)" >&2
   exit 1
 fi
-echo "v1/v2/v3 journals all resume to the golden digest; shard merge reproduces the single-process run"
+echo "journals resume to the golden digest, text journals are refused untouched; shard merge reproduces the single-process run"

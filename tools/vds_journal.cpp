@@ -4,10 +4,10 @@
 //   vds_journal verify shard-*.journal
 //   vds_journal merge shard-a.journal shard-b.journal --out merged.journal
 //
-// Works on every journal format vds_mc writes (v1/v2 text, v3
-// binary); parsing goes through the same corruption-skipping reader
-// the campaign --resume path uses, so what this tool reports intact
-// is exactly what a resume would trust. `merge` is the reducer side
+// Reads the one journal encoding (v3 binary) through the same
+// corruption-skipping reader the campaign --resume path uses, so what
+// this tool reports intact is exactly what a resume would trust; a
+// file without the v3 header is refused (exit 3). `merge` is the reducer side
 // of sharded campaigns: run disjoint --cell-range shards, merge their
 // journals (fingerprints must match, conflicting duplicate cells are
 // refused), then --resume the merged journal to reproduce the
@@ -52,7 +52,6 @@ struct JournalFlags {
   bool records = false;
   std::string json_out;
   std::string out;
-  std::string format = "v3";
 };
 
 const vds::scenario::Field<JournalFlags> kJournalFlags[] = {
@@ -66,8 +65,6 @@ const vds::scenario::Field<JournalFlags> kJournalFlags[] = {
      &JournalFlags::json_out},
     {"--out", "PATH", "merge: output journal path (required;\noverwritten)",
      &JournalFlags::out},
-    {"--format", "v2|v3", "merge: output encoding (v2 text,\nv3 binary)",
-     &JournalFlags::format},
 };
 
 std::string hex16(std::uint64_t value) {
@@ -291,7 +288,6 @@ void write_merge_info(std::ostream& os, const std::string& out_path,
 
 int run_merge(const std::vector<std::string>& paths,
               const std::string& out_path,
-              vds::runtime::JournalFormat format,
               const std::string& json_out) {
   if (paths.empty()) {
     throw vds::scenario::CliError("merge needs at least one input journal");
@@ -300,7 +296,7 @@ int run_merge(const std::vector<std::string>& paths,
     throw vds::scenario::CliError("merge requires --out PATH");
   }
   const vds::runtime::JournalMergeStats stats =
-      vds::runtime::merge_journals(paths, out_path, format);
+      vds::runtime::merge_journals(paths, out_path);
   std::printf("merged %llu journal%s -> '%s': %llu records "
               "(%llu duplicate%s coalesced, %llu corrupt skipped), "
               "fingerprint %s\n",
@@ -331,9 +327,6 @@ int run(int argc, char** argv) {
   cli.add("options", kJournalFlags, flags);
   std::vector<std::string> operands;
   if (!cli.parse(argc, argv, &operands)) return 0;
-  if (flags.format != "v2" && flags.format != "v3") {
-    vds::scenario::bad_value("--format", flags.format, "v2 or v3");
-  }
   if (operands.empty()) {
     std::fputs(cli.usage().c_str(), stderr);
     return 2;
@@ -347,11 +340,7 @@ int run(int argc, char** argv) {
   }
   if (command == "verify") return run_verify(paths);
   if (command == "merge") {
-    return run_merge(paths, flags.out,
-                     flags.format == "v2"
-                         ? vds::runtime::JournalFormat::kV2Text
-                         : vds::runtime::JournalFormat::kV3Binary,
-                     flags.json_out);
+    return run_merge(paths, flags.out, flags.json_out);
   }
   std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
   std::fputs(cli.usage().c_str(), stderr);
