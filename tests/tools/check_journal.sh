@@ -19,6 +19,9 @@ build="${1:?usage: check_journal.sh BUILD_DIR}"
 mc="$build/tools/vds_mc"
 jr="$build/tools/vds_journal"
 fabric="$build/tools/vds_fabric"
+for tool in "$mc" "$jr" "$fabric"; do
+  [ -x "$tool" ] || { echo "FAIL: $tool not built" >&2; exit 1; }
+done
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
@@ -62,41 +65,31 @@ grep -q '"cells_executed": 0' "$tmp/v3.resumed.json" ||
 printf 'vds-mc-journal v2 fingerprint 0000000000000009\ncell 0 1 0x1p+0 0x1p+0 0x1p+0 60 #00000000\n' \
   > "$tmp/text.journal"
 cp "$tmp/text.journal" "$tmp/text.orig"
-# refused WHAT CMD...: CMD must exit 3, name the journal on stderr and
-# leave it byte-identical.
+# refused WHAT JOURNAL CMD...: CMD must exit 3, name JOURNAL on stderr
+# and leave it byte-identical.
 refused() {
-  local what="$1"; shift
+  local what="$1" journal="$2"; shift 2
   "$@" > /dev/null 2> "$tmp/text.err"
   local code=$?
   [ "$code" -eq 3 ] || fail "$what of a text journal: exit $code (want 3)"
-  grep -qF "$tmp/text.journal" "$tmp/text.err" ||
+  grep -qF "$journal" "$tmp/text.err" ||
     fail "$what of a text journal does not name it: $(cat "$tmp/text.err")"
-  cmp -s "$tmp/text.journal" "$tmp/text.orig" ||
+  cmp -s "$journal" "$tmp/text.orig" ||
     fail "$what changed the text journal"
 }
-refused "vds_mc --resume" \
+refused "vds_mc --resume" "$tmp/text.journal" \
   "$mc" "${flags[@]}" --journal "$tmp/text.journal" --resume
-refused "vds_journal verify" "$jr" verify "$tmp/text.journal"
-refused "vds_journal inspect" "$jr" inspect "$tmp/text.journal"
-refused "vds_journal merge" \
+refused "vds_journal verify" "$tmp/text.journal" \
+  "$jr" verify "$tmp/text.journal"
+refused "vds_journal inspect" "$tmp/text.journal" \
+  "$jr" inspect "$tmp/text.journal"
+refused "vds_journal merge" "$tmp/text.journal" \
   "$jr" merge "$tmp/text.journal" --out "$tmp/text.merged"
 mkdir -p "$tmp/text.work"
 cp "$tmp/text.orig" "$tmp/text.work/assignment.journal"
-"$fabric" --coordinate --socket "$tmp/text.sock" --workdir "$tmp/text.work" \
-  --resume "${flags[@]}" > /dev/null 2> "$tmp/text.err" &
-coordinator=$!
-for _ in $(seq 100); do
-  kill -0 "$coordinator" 2> /dev/null || break
-  sleep 0.1
-done
-kill "$coordinator" 2> /dev/null
-wait "$coordinator"
-code=$?
-[ "$code" -eq 3 ] || fail "vds_fabric --resume of a text log: exit $code (want 3)"
-grep -qF "$tmp/text.work/assignment.journal" "$tmp/text.err" ||
-  fail "vds_fabric does not name the text log: $(cat "$tmp/text.err")"
-cmp -s "$tmp/text.work/assignment.journal" "$tmp/text.orig" ||
-  fail "vds_fabric --resume changed the text log"
+refused "vds_fabric --resume" "$tmp/text.work/assignment.journal" \
+  timeout 10 "$fabric" --coordinate --socket "$tmp/text.sock" \
+  --workdir "$tmp/text.work" --resume "${flags[@]}"
 
 # --- 3. damaged journal: flagged, then healed by resume ---------------
 cp "$tmp/v3.journal" "$tmp/bad.journal"
