@@ -1,5 +1,6 @@
 #include "runtime/journal.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cinttypes>
@@ -329,6 +330,32 @@ bool decode_v3_payload(const unsigned char* p, std::size_t n,
   return pos == n;  // trailing bytes would hide corruption
 }
 
+constexpr std::size_t kMaxV3Line = 2 + kV3MaxPayload + 4 + 1;
+
+/// Frames one record into `line` (room for kMaxV3Line bytes) and
+/// returns its length. Chaos write-side faults must look like a
+/// *successful* append to the campaign: they model silent substrate
+/// corruption that only the checksummed reader can catch on --resume.
+std::size_t encode_v3_line(const JournalRecord& record, const Chaos* chaos,
+                           unsigned char* line) noexcept {
+  std::size_t line_len = 0;
+  line[line_len++] = kV3Marker;
+  const std::size_t payload_len = encode_v3_payload(record, line + 2);
+  line[line_len++] = static_cast<unsigned char>(payload_len);
+  line_len += payload_len;
+  put_le32(line + line_len, crc32c(line + 2, payload_len));
+  line_len += 4;
+  line[line_len++] = '\n';
+  if (chaos != nullptr) {
+    if (chaos->fires(kChaosJournalTorn, record.index)) {
+      line_len /= 2;  // the kill instant: half a record, no terminator
+    } else if (chaos->fires(kChaosJournalCorrupt, record.index)) {
+      line[line_len / 3] ^= 0x04;  // one flipped bit inside the body
+    }
+  }
+  return line_len;
+}
+
 std::string hex16(std::uint64_t value) {
   char buf[20];
   std::snprintf(buf, sizeof buf, "%016" PRIx64, value);
@@ -432,9 +459,10 @@ void parse_v3_journal(const std::string& path, std::string_view data,
 }
 
 /// Writes `size` bytes with one write(2). Returns "" on success, else
-/// what went wrong; a short write is a failure, never resumed, so a
-/// record is either wholly in the file or visibly torn. EINTR is
-/// retried only when it interrupted the call before any byte moved.
+/// what went wrong; a short write is a failure, never resumed, so each
+/// record of a block is either wholly in the file or visibly torn.
+/// EINTR is retried only when it interrupted the call before any byte
+/// moved.
 std::string write_once(int fd, const void* data, std::size_t size) {
   ssize_t wrote;
   do {
@@ -550,47 +578,43 @@ Journal::~Journal() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void Journal::append(const JournalRecord& record) {
+void Journal::append(std::span<const JournalRecord> records) {
   static auto& appends = metrics::registry().counter(
       "journal.appends", metrics::Determinism::kDeterministic);
+  static auto& writes = metrics::registry().counter(
+      "journal.writes", metrics::Determinism::kDeterministic);
   static auto& append_ms = metrics::registry().timing("journal.append_ms");
-  const metrics::Span span("journal.append", "journal", record.index);
-  const metrics::ScopedTimer timer(append_ms);
-  appends.add();
-  if (failed_.load()) {
-    // The file already holds (at best) a torn record; appending more
-    // would journal cells the resume path can never trust.
-    throw std::runtime_error("journal '" + path_ +
-                             "': earlier write failed; record dropped");
-  }
-  unsigned char line[2 + kV3MaxPayload + 4 + 1];
-  std::size_t line_len = 0;
-  line[line_len++] = kV3Marker;
-  const std::size_t payload_len = encode_v3_payload(record, line + 2);
-  line[line_len++] = static_cast<unsigned char>(payload_len);
-  line_len += payload_len;
-  put_le32(line + line_len, crc32c(line + 2, payload_len));
-  line_len += 4;
-  line[line_len++] = '\n';
-  // Chaos write-side faults: both must look like a *successful* append
-  // to the campaign — they model silent substrate corruption that only
-  // the checksummed reader can catch on --resume.
-  if (chaos_ != nullptr) {
-    if (chaos_->fires(kChaosJournalTorn, record.index)) {
-      line_len /= 2;  // the kill instant: half a record, no terminator
-    } else if (chaos_->fires(kChaosJournalCorrupt, record.index)) {
-      line[line_len / 3] ^= 0x04;  // one flipped bit inside the body
+  while (!records.empty()) {
+    const std::span<const JournalRecord> block =
+        records.first(std::min(records.size(), kMaxBlock));
+    records = records.subspan(block.size());
+    const metrics::Span span("journal.append", "journal", block.front().index);
+    const metrics::ScopedTimer timer(append_ms);
+    appends.add(block.size());
+    writes.add();
+    if (failed_.load()) {
+      // The file already holds (at best) a torn record; appending more
+      // would journal cells the resume path can never trust.
+      throw std::runtime_error("journal '" + path_ +
+                               "': earlier write failed; records dropped");
     }
-  }
-  // No lock: the record was built on this stack, and one O_APPEND
-  // write(2) puts it whole at the end of the file. An append racing a
-  // failing one may still land after the damaged bytes; the reader
-  // resynchronizes past them, so that record stays valid.
-  const std::string error = write_once(fd_, line, line_len);
-  if (!error.empty()) {
-    failed_.store(true);
-    throw std::runtime_error("journal '" + path_ + "': write failed (" +
-                             error + "); resume data is incomplete");
+    unsigned char bytes[kMaxBlock * kMaxV3Line];
+    std::size_t size = 0;
+    for (const JournalRecord& record : block) {
+      size += encode_v3_line(record, chaos_, bytes + size);
+    }
+    // No lock: the block was built on this stack, and one O_APPEND
+    // write(2) puts it whole at the end of the file. A short write is
+    // the only way part of it could land; it fails and poisons below.
+    // An append racing a failing one may still land after the damaged
+    // bytes; the reader resynchronizes past them, so its records stay
+    // valid.
+    const std::string error = write_once(fd_, bytes, size);
+    if (!error.empty()) {
+      failed_.store(true);
+      throw std::runtime_error("journal '" + path_ + "': write failed (" +
+                               error + "); resume data is incomplete");
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -151,17 +152,28 @@ class Journal {
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
-  /// Appends one record with one write(2) on the O_APPEND descriptor,
-  /// so it is in the kernel (not fsync'ed) before `append` returns.
-  /// Thread-safe without a user-space lock: the record is encoded on
-  /// the caller's stack, and concurrent O_APPEND writes of ≤256 bytes
-  /// to a regular file never interleave. Throws std::runtime_error
-  /// when the write fails or comes up short (disk full, …) — silently
-  /// dropping a record would let the campaign report success while
-  /// the resume data is incomplete. After a failure the journal is
-  /// poisoned: `failed()` turns true and every further append throws
-  /// without writing.
-  void append(const JournalRecord& record);
+  /// Most records one `write(2)` carries: a campaign dispatch block.
+  static constexpr std::size_t kMaxBlock = 64;
+
+  /// Appends `records` with one write(2) on the O_APPEND descriptor per
+  /// `kMaxBlock` records, so they are in the kernel (not fsync'ed)
+  /// before `append` returns. A campaign hands over a dispatch block's
+  /// records when the block finishes; a SIGKILL therefore loses at most
+  /// the unfinished block of each worker, whose cells `--resume`
+  /// re-executes. Thread-safe without a user-space lock: the records
+  /// are encoded on the caller's stack, and the kernel places each
+  /// O_APPEND write to a regular file whole at the end of the file, so
+  /// concurrent blocks never interleave. The only way part of a block
+  /// could land is a short write (disk full, file-size limit, …); it is
+  /// detected, and like a failed write it throws std::runtime_error —
+  /// silently dropping records would let the campaign report success
+  /// while the resume data is incomplete. After a failure the journal
+  /// is poisoned: `failed()` turns true and every further append
+  /// throws without writing.
+  void append(std::span<const JournalRecord> records);
+
+  /// `append` of a single record (one write(2)).
+  void append(const JournalRecord& record) { append({&record, 1}); }
 
   /// True once any append (or the one before it) failed.
   [[nodiscard]] bool failed() const noexcept { return failed_.load(); }

@@ -1,6 +1,7 @@
 #include "runtime/mc_campaign.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -11,6 +12,7 @@
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -59,6 +61,14 @@ McCounters& mc_counters() {
 /// per-worker bins), so the reduction shape is independent of the
 /// thread count and of which worker ran which cell.
 constexpr std::size_t kShardCells = 64;
+
+/// Most cells one dispatch task runs. A range of n cells is cut into
+/// blocks of clamp(ceil(n / 64), 1, 64) cells: a range of up to 64
+/// cells keeps one cell a task, a larger one splits into about 64
+/// blocks, and from 4096 cells on every block is full. The size
+/// depends on n alone, never on the worker count, so the pool's task
+/// counters stay deterministic.
+constexpr std::size_t kBlockCells = Journal::kMaxBlock;
 
 std::uint64_t hash_double(double x, std::uint64_t h) noexcept {
   return fnv1a(&x, sizeof x, h);
@@ -443,6 +453,8 @@ struct McExecution::State {
   std::uint64_t resumed = 0;
   std::uint64_t corrupt = 0;
   std::unique_ptr<Journal> journal;
+  std::size_t block_cells = 1;  ///< cells per dispatch block
+  std::size_t dispatch_hi = 0;  ///< end of the dispatch range, clamped
   std::atomic<std::uint64_t> executed{0};
   std::atomic<std::uint64_t> retried{0};
   std::atomic<bool> deadline_hit{false};
@@ -623,7 +635,7 @@ void McExecution::arm_chaos(ThreadPool& pool) const noexcept {
   if (state_->chaos.armed()) pool.arm_chaos(&state_->chaos);
 }
 
-void McExecution::run_cell(std::uint64_t index) {
+bool McExecution::run_cell(std::uint64_t index) {
   State& st = *state_;
   const bool late = past_deadline(config_);
   if (late || (config_.honor_global_drain && drain_requested())) {
@@ -631,7 +643,7 @@ void McExecution::run_cell(std::uint64_t index) {
     st.cell_state[index] = kSkipped;
     st.resolved.fetch_add(1, std::memory_order_relaxed);
     mc_counters().skipped.add();
-    return;
+    return false;
   }
   // With a deadline set, clamp the watchdog so an in-flight cell
   // cannot overrun the time remaining (and enable it if it was off).
@@ -674,7 +686,7 @@ void McExecution::run_cell(std::uint64_t index) {
         st.cell_state[index] = kSkipped;
         st.resolved.fetch_add(1, std::memory_order_relaxed);
         mc_counters().skipped.add();
-        return;
+        return false;
       }
       if (attempt >= config_.max_retries) {
         // Give up on the cell, not on the campaign: quarantine is
@@ -683,13 +695,13 @@ void McExecution::run_cell(std::uint64_t index) {
         st.cell_state[index] = kQuarantined;
         st.resolved.fetch_add(1, std::memory_order_relaxed);
         mc_counters().quarantined.add();
-        return;
+        return false;
       }
       if (config_.honor_global_drain && drain_requested()) {
         st.cell_state[index] = kSkipped;
         st.resolved.fetch_add(1, std::memory_order_relaxed);
         mc_counters().skipped.add();
-        return;
+        return false;
       }
       retry_backoff(config_, attempt);
     }
@@ -697,17 +709,36 @@ void McExecution::run_cell(std::uint64_t index) {
   st.results[index] = result;
   st.cell_state[index] = kExecuted;
   st.resolved.fetch_add(1, std::memory_order_relaxed);
-  // Journal failures bypass the retry loop on purpose: a journal
-  // that cannot persist progress must fail the campaign (the pool
-  // captures this throw and wait_idle reports it).
-  if (st.journal) st.journal->append(to_record(index, result));
-  st.executed.fetch_add(1, std::memory_order_relaxed);
-  mc_counters().executed.add();
+  return true;
+}
+
+void McExecution::run_block(std::uint64_t begin, std::uint64_t end) {
+  State& st = *state_;
+  std::size_t executed = 0;
+  for (std::uint64_t index = begin; index < end; ++index) {
+    if (st.cell_state[index] == kPending && run_cell(index)) ++executed;
+  }
+  // One write for the whole block: only this task moves the range's
+  // cells to kExecuted. Journal failures bypass the retry loop on
+  // purpose: a journal that cannot persist progress must fail the
+  // campaign (the pool captures this throw and wait_idle reports it).
+  if (st.journal && executed > 0) {
+    std::array<JournalRecord, kBlockCells> records;
+    std::size_t count = 0;
+    for (std::uint64_t index = begin; index < end; ++index) {
+      if (st.cell_state[index] == kExecuted) {
+        records[count++] = to_record(index, st.results[index]);
+      }
+    }
+    st.journal->append(std::span(records.data(), count));
+  }
+  st.executed.fetch_add(executed, std::memory_order_relaxed);
+  mc_counters().executed.add(executed);
 }
 
 void McExecution::run_cell_sampling(ThreadPool& pool, std::uint64_t index,
                                     std::uint64_t stratum) {
-  run_cell(index);
+  run_block(index, index + 1);
   State& st = *state_;
   State::StratumState& str = st.strata_state[stratum];
   if (st.cell_state[index] == kSkipped) {
@@ -839,12 +870,25 @@ void McExecution::enqueue(ThreadPool& pool) {
   const std::size_t lo =
       static_cast<std::size_t>(std::min<std::uint64_t>(config_.cell_lo,
                                                        st.cells));
-  const std::size_t hi =
+  st.dispatch_hi =
       static_cast<std::size_t>(std::min<std::uint64_t>(config_.cell_hi,
                                                        st.cells));
-  for (std::size_t index = lo; index < hi; ++index) {
-    if (st.cell_state[index] != kPending) continue;
-    pool.submit([this, index] { run_cell(index); });
+  st.block_cells = std::clamp<std::size_t>(
+      (st.dispatch_hi - lo + kBlockCells - 1) / kBlockCells, 1, kBlockCells);
+  const auto pending = [](char state) { return state == kPending; };
+  for (std::size_t begin = lo; begin < st.dispatch_hi;
+       begin += st.block_cells) {
+    const std::size_t end = std::min(st.dispatch_hi, begin + st.block_cells);
+    if (std::none_of(st.cell_state.begin() + begin,
+                     st.cell_state.begin() + end, pending)) {
+      continue;
+    }
+    // Two words of capture keep the task inside std::function's
+    // inline buffer: a block without a journal allocates nothing.
+    pool.submit([this, begin] {
+      const State& st = *state_;
+      run_block(begin, std::min(st.dispatch_hi, begin + st.block_cells));
+    });
   }
 }
 
@@ -857,9 +901,18 @@ McSummary McExecution::reduce(ThreadPool& pool) {
       (st.cells + kShardCells - 1) / kShardCells;
   std::vector<McSummary> shards(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) {
-    pool.submit([&, s] {
-      const std::size_t lo = s * kShardCells;
-      const std::size_t hi = std::min(st.cells, lo + kShardCells);
+    const std::size_t lo = s * kShardCells;
+    const std::size_t hi = std::min(st.cells, lo + kShardCells);
+    // Only a shard that meets the dispatch range or holds a resumed
+    // record can hold a result. The rest stay empty, and merging an
+    // empty summary changes no bit, so a cell-range lease reduces its
+    // own shards instead of the whole grid's.
+    if ((hi <= config_.cell_lo || lo >= config_.cell_hi) &&
+        std::find(st.cell_state.begin() + lo, st.cell_state.begin() + hi,
+                  kResumed) == st.cell_state.begin() + hi) {
+      continue;
+    }
+    pool.submit([&, s, lo, hi] {
       for (std::size_t index = lo; index < hi; ++index) {
         if (st.cell_state[index] == kResumed ||
             st.cell_state[index] == kExecuted) {

@@ -284,12 +284,14 @@ class McExecution {
   /// executions — vds_serve — deliberately skip this.
   void arm_chaos(ThreadPool& pool) const noexcept;
 
-  /// Submits every not-yet-satisfied cell onto `pool`. Cells observe
-  /// drain/deadline at dispatch time, so a request can still be
+  /// Submits every not-yet-satisfied cell onto `pool`, one task per
+  /// block of up to 64 contiguous cells. Cells observe drain/deadline
+  /// when their turn in the block comes, so a request can still be
   /// abandoned after enqueueing. In sampling mode this submits each
-  /// stratum's first wave; later waves chain from the worker that
-  /// resolves the last cell of the previous one, so the caller's
-  /// `pool.wait_idle()` still covers the whole adaptive stream.
+  /// stratum's first wave, one task per cell; later waves chain from
+  /// the worker that resolves the last cell of the previous one, so
+  /// the caller's `pool.wait_idle()` still covers the whole adaptive
+  /// stream.
   void enqueue(ThreadPool& pool);
 
   /// Reduces the per-cell results (sharded, canonical order) into the
@@ -312,7 +314,12 @@ class McExecution {
 
  private:
   struct State;
-  void run_cell(std::uint64_t index);
+  /// Runs one pending cell (drain/deadline check, watchdog, retries,
+  /// quarantine); true when it produced a result.
+  bool run_cell(std::uint64_t index);
+  /// Runs the pending cells of [begin, end) — at most 64 — and
+  /// journals their records with one write when the block ends.
+  void run_block(std::uint64_t begin, std::uint64_t end);
   void run_cell_sampling(ThreadPool& pool, std::uint64_t index,
                          std::uint64_t stratum);
   void advance_stratum(ThreadPool& pool, std::uint64_t stratum);

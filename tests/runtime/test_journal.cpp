@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -11,9 +12,15 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
+
+#include <sys/resource.h>
 
 #include "core/campaign.hpp"
+#include "core/options.hpp"
 #include "core/report.hpp"
+#include "runtime/chaos.hpp"
+#include "runtime/mc_campaign.hpp"
 
 namespace vds::runtime {
 namespace {
@@ -187,6 +194,95 @@ TEST_F(JournalTest, AppendToFailingStreamThrowsAndPoisons) {
   EXPECT_THROW(journal.append(sample_record(0)), std::runtime_error);
   EXPECT_TRUE(journal.failed());
   EXPECT_THROW(journal.append(sample_record(1)), std::runtime_error);
+}
+
+TEST_F(JournalTest, BlockToFailingStreamThrowsAndPoisons) {
+  // A block is one write(2): on a full disk the whole block fails, the
+  // journal is poisoned, and neither a later block nor a single record
+  // is written past the failure point.
+  std::FILE* stream = std::fopen("/dev/full", "w");
+  if (stream == nullptr) GTEST_SKIP() << "/dev/full not available";
+  Journal journal(stream, "/dev/full");
+  const std::vector<JournalRecord> block = {sample_record(0), sample_record(1),
+                                            sample_record(2)};
+  EXPECT_THROW(journal.append(block), std::runtime_error);
+  EXPECT_TRUE(journal.failed());
+  EXPECT_THROW(journal.append(block), std::runtime_error);
+  EXPECT_THROW(journal.append(sample_record(3)), std::runtime_error);
+}
+
+TEST_F(JournalTest, ShortBlockWriteFailsTheCampaign) {
+  // A file-size limit just past the header cuts the first block write
+  // short. The short write must poison the journal and fail the
+  // campaign; a campaign that reported success here would leave resume
+  // data it never wrote.
+  struct rlimit saved = {};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  constexpr rlim_t kLimit = 256;
+  if (saved.rlim_cur != RLIM_INFINITY && saved.rlim_cur < kLimit) {
+    GTEST_SKIP() << "file-size limit already below " << kLimit << " bytes";
+  }
+  McConfig config;
+  config.replicas = 10;  // 4 kinds x 5 rounds x 10 = 200 cells
+  config.threads = 2;
+  config.journal_path = path_;
+  const McRunner runner = make_smt_runner(core::VdsOptions{});
+
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  struct rlimit limited = saved;
+  limited.rlim_cur = kLimit;
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &limited), 0);
+  std::string what;
+  try {
+    (void)run_mc_campaign(config, runner);
+  } catch (const std::runtime_error& error) {
+    what = error.what();
+  }
+  ::setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, old_handler);
+
+  EXPECT_NE(what.find("journal '" + path_ + "'"), std::string::npos)
+      << "campaign did not fail on the journal: '" << what << "'";
+  EXPECT_LE(std::filesystem::file_size(path_), kLimit);
+}
+
+TEST_F(JournalTest, BlockLosesOnlyItsTornAndCorruptRecords) {
+  // One block, one write(2), with a torn record and a bit-flipped one
+  // in its middle: load loses exactly those two, resynchronizes past
+  // the torn bytes, and keeps every record around them. Chaos is a
+  // pure function of the record index, so the indices are chosen here
+  // to make exactly one record fire each site.
+  const Chaos chaos = Chaos::parse("journal.torn=0.1,journal.corrupt=0.1", 21);
+  const auto torn = [&](std::uint64_t index) {
+    return chaos.fires(kChaosJournalTorn, index);
+  };
+  const auto flipped = [&](std::uint64_t index) {
+    return !torn(index) && chaos.fires(kChaosJournalCorrupt, index);
+  };
+  const auto clean = [&](std::uint64_t index) {
+    return !torn(index) && !flipped(index);
+  };
+  std::uint64_t next = 0;
+  const auto take = [&](const auto& wanted) {
+    while (!wanted(next)) ++next;
+    return next++;
+  };
+  std::vector<JournalRecord> block;
+  std::vector<JournalRecord> kept;
+  for (int slot = 0; slot < 16; ++slot) {
+    const std::uint64_t index =
+        slot == 5 ? take(torn) : slot == 10 ? take(flipped) : take(clean);
+    block.push_back(sample_record(index));
+    if (slot != 5 && slot != 10) kept.push_back(block.back());
+  }
+  {
+    Journal journal(path_, 21);
+    journal.arm_chaos(&chaos);
+    journal.append(block);
+  }
+  const JournalLoad load = Journal::load(path_, 21);
+  EXPECT_EQ(load.corrupt, 2u);
+  EXPECT_EQ(load.records, kept);
 }
 
 TEST_F(JournalTest, HeaderWriteFailureThrowsFromConstructor) {

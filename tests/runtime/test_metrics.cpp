@@ -200,6 +200,30 @@ TEST(Metrics, CampaignEventCountsAreThreadCountInvariant) {
   EXPECT_NE(sections[0].find("mc.cells_executed 24\n"), std::string::npos);
 }
 
+// A --cell-range shard (one fabric lease) submits one task per block
+// of its own range and reduces only the 64-cell shards that range
+// meets, never the whole grid's: here 50 two-cell blocks and 3 of the
+// grid's 94 shards, at any worker count, with the pinned digest.
+TEST(Metrics, CellRangeSubmitsOnlyItsBlocksAndShards) {
+  const auto runner =
+      vds::runtime::make_smt_runner(vds::core::VdsOptions{});
+  for (const unsigned threads : {1u, 3u}) {
+    reset_enabled();
+    vds::runtime::McConfig config = small_campaign(threads);
+    config.replicas = 1000;  // 2 kinds x 3 rounds x 1000 = 6000 cells
+    config.cell_lo = 1000;
+    config.cell_hi = 1100;
+    const auto summary = vds::runtime::run_mc_campaign(config, runner);
+    EXPECT_EQ(summary.digest(), 0x47bf6856ff99373cull) << threads;
+    EXPECT_EQ(summary.cells_executed, 100u);
+    EXPECT_EQ(metrics::registry()
+                  .counter("pool.tasks_submitted", Determinism::kDeterministic)
+                  .total(),
+              50u + 3u)
+        << threads;
+  }
+}
+
 TEST(Metrics, TraceSerializesAsChromeCompleteEvents) {
   reset_enabled();
   auto& reg = metrics::registry();

@@ -11,12 +11,14 @@ journal_tool="$build/tools/vds_journal"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-# The digest-neutral pool.delay chaos site sleeps 200 us before every
-# pool task, so the campaign outlasts the journal poll below however
-# fast the engine and the journal get. Every compared run carries the
-# same flags.
+# The digest-neutral cell.hang chaos site (no watchdog armed) sleeps
+# 50 ms before about 1% of the cells' attempts, which then run
+# normally, so the campaign outlasts the journal poll below however
+# fast the engine and the journal get. It is keyed per cell, not per
+# pool task: a task runs a block of up to 64 cells. Every compared run
+# carries the same flags.
 flags=(--quiet --replicas 500 --grid 1,3,5 --kinds transient,crash
-       --rounds 200 --seed 11 --threads 2 --chaos pool.delay=1)
+       --rounds 200 --seed 11 --threads 2 --chaos cell.hang=0.01)
 
 digest_of() { grep -o '"digest": "[0-9a-f]*"' "$1"; }
 

@@ -44,7 +44,7 @@ wait_for_socket() { # path
 # Two campaign sizes: SMALL finishes in well under a second (parity
 # and chaos drills); BIG takes longer, leaving a window to kill things
 # mid-flight. The expiry race drill does not rely on BIG's size: it
-# arms the pool.delay chaos site to outlast its 300 ms expiry.
+# arms the cell.hang chaos site to outlast its 300 ms expiry.
 SMALL=(--replicas 800 --grid 1,5 --kinds transient,crash --scheme det --seed 3)
 BIG=(--replicas 10000 --grid 1,5 --kinds transient,crash --scheme det --seed 3
      --rounds 180)
@@ -154,13 +154,15 @@ grep -q 'attempt 2' "$tmp/kill.err" \
 # The silent worker (--heartbeat-ms 0) keeps computing while its lease
 # expires; a healthy worker picks up the re-issue. Whichever result
 # lands second must coalesce — the digest never changes. The workers
-# run with the digest-neutral pool.delay chaos site armed (200 us
-# before every pool task), so the 20000-cell lease outlasts the 300 ms
-# expiry however fast the engine gets.
+# run with the digest-neutral cell.hang chaos site armed (no watchdog:
+# a 50 ms sleep before about 0.2% of the cells' attempts, which then
+# run normally), so the 20000-cell lease outlasts the 300 ms expiry
+# however fast the engine gets. The site is keyed per cell; pool.delay
+# is keyed per pool task, and a task runs a block of up to 64 cells.
 sock="$tmp/race.sock"
 "$fabric" --coordinate --socket "$sock" --workdir "$tmp/race.work" \
   --lease-cells 20000 --expiry-ms 300 --backoff-ms 50 \
-  --chaos pool.delay=1 \
+  --chaos cell.hang=0.002 \
   "${BIG[@]}" --threads 2 >"$tmp/race.out" 2>"$tmp/race.err" &
 coord=$!
 pids+=("$coord")
