@@ -72,7 +72,6 @@ int main() {
     sim::Rng fault_rng(5);
     auto smt_timeline = fault::generate_timeline(fc, fault_rng, 1e6);
     auto conv_timeline = smt_timeline;
-    conv_timeline.rewind();
 
     core::SmtVds smt_vds(options, sim::Rng(6));
     smt_vds.set_predictor(

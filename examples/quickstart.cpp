@@ -33,7 +33,6 @@ int main() {
   auto timeline =
       fault::generate_timeline(fault_config, fault_rng, 50000.0);
   auto timeline_conv = timeline;  // identical history for the baseline
-  timeline_conv.rewind();
 
   // --- 3. run both engines --------------------------------------------
   core::SmtVds smt(options, sim::Rng(1));

@@ -40,10 +40,6 @@ class PhysicalDuplex final : public vds::core::Engine {
   vds::core::RunReport run(vds::fault::FaultTimeline& timeline,
                            vds::sim::Trace* trace = nullptr) override;
 
-  [[nodiscard]] const DuplexConfig& config() const noexcept {
-    return config_;
-  }
-
  private:
   DuplexConfig config_;
   vds::sim::Rng rng_;

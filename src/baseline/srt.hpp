@@ -48,8 +48,6 @@ class LockstepSrt final : public vds::core::Engine {
   vds::core::RunReport run(vds::fault::FaultTimeline& timeline,
                            vds::sim::Trace* trace = nullptr) override;
 
-  [[nodiscard]] const SrtConfig& config() const noexcept { return config_; }
-
  private:
   SrtConfig config_;
   vds::sim::Rng rng_;

@@ -20,7 +20,7 @@ namespace vds::checkpoint {
 /// carries no words at all: it is a *clean tag*. Advancing a tag to the
 /// next round and comparing two tags of the same round are O(1).
 /// Anything else -- flip_bit(), another round index, digest(),
-/// data()/word(), a compare against a dirty state -- first materializes
+/// data(), a compare against a dirty state -- first materializes
 /// the words from a process-wide golden table (one snapshot per 64
 /// rounds per (seed, words), extended under a mutex) and then behaves
 /// exactly like an eager state. A clean state drops materialized words
@@ -70,28 +70,15 @@ class VersionState {
     return equal_words(other);
   }
 
-  [[nodiscard]] std::size_t words() const noexcept { return words_; }
-  [[nodiscard]] std::uint64_t word(std::size_t i) const {
-    return data().at(i);
-  }
   [[nodiscard]] const std::vector<std::uint64_t>& data() const noexcept {
     if (!materialized_) materialize();
     return data_;
   }
 
-  /// Number of rounds this state has advanced through.
-  [[nodiscard]] std::uint64_t rounds_applied() const noexcept {
-    return rounds_applied_;
-  }
-
   /// True while the state is known to hold the fault-free words of its
-  /// (seed, words) after rounds_applied() rounds, materialized or not.
+  /// (seed, words) after the rounds it has advanced through,
+  /// materialized or not.
   [[nodiscard]] bool clean() const noexcept { return clean_; }
-
-  friend bool operator==(const VersionState& a,
-                         const VersionState& b) noexcept {
-    return a.equals(b);
-  }
 
  private:
   void advance_words(std::uint64_t round_index) noexcept;

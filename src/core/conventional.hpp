@@ -32,10 +32,6 @@ class ConventionalVds final : public Engine {
   RunReport run(vds::fault::FaultTimeline& timeline,
                 vds::sim::Trace* trace = nullptr) override;
 
-  [[nodiscard]] const VdsOptions& options() const noexcept {
-    return options_;
-  }
-
  private:
   VdsOptions options_;
   vds::sim::Rng rng_;

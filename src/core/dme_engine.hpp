@@ -70,8 +70,6 @@ class DmeEngine final : public Engine {
   RunReport run(vds::fault::FaultTimeline& timeline,
                 vds::sim::Trace* trace = nullptr) override;
 
-  [[nodiscard]] const DmeConfig& config() const noexcept { return config_; }
-
  private:
   DmeConfig config_;
   vds::sim::Rng rng_;

@@ -58,10 +58,6 @@ class ReplayVds final : public Engine {
   RunReport run(vds::fault::FaultTimeline& timeline,
                 vds::sim::Trace* trace = nullptr) override;
 
-  [[nodiscard]] const ReplayConfig& config() const noexcept {
-    return config_;
-  }
-
  private:
   ReplayConfig config_;
   vds::sim::Rng rng_;

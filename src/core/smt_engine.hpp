@@ -39,10 +39,6 @@ class SmtVds final : public Engine {
   /// and prediction schemes. Defaults to RandomPredictor (p = 0.5).
   void set_predictor(std::unique_ptr<vds::fault::Predictor> predictor);
 
-  [[nodiscard]] vds::fault::Predictor* predictor() noexcept {
-    return predictor_.get();
-  }
-
   [[nodiscard]] std::string_view kind() const noexcept override {
     return "smt";
   }
@@ -50,10 +46,6 @@ class SmtVds final : public Engine {
   /// Executes the job against a fault timeline. `trace` may be null.
   RunReport run(vds::fault::FaultTimeline& timeline,
                 vds::sim::Trace* trace = nullptr) override;
-
-  [[nodiscard]] const VdsOptions& options() const noexcept {
-    return options_;
-  }
 
  private:
   VdsOptions options_;

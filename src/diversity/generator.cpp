@@ -41,14 +41,6 @@ vds::smt::Program Generator::variant(const vds::smt::Program& base,
   return out;
 }
 
-std::vector<vds::smt::Program> Generator::variants(
-    const vds::smt::Program& base, const Recipe& recipe, std::size_t n) {
-  std::vector<vds::smt::Program> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(variant(base, recipe));
-  return out;
-}
-
 DiversityMetrics measure_diversity(const vds::smt::Program& a,
                                    const vds::smt::Program& b) {
   DiversityMetrics metrics;

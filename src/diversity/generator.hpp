@@ -42,10 +42,6 @@ class Generator {
   [[nodiscard]] vds::smt::Program variant(const vds::smt::Program& base,
                                           const Recipe& recipe);
 
-  /// Produces n distinct-seeded variants.
-  [[nodiscard]] std::vector<vds::smt::Program> variants(
-      const vds::smt::Program& base, const Recipe& recipe, std::size_t n);
-
  private:
   vds::sim::Rng rng_;
 };

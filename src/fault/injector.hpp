@@ -34,15 +34,7 @@ class FaultTimeline {
                                     : vds::sim::kTimeInfinity;
   }
 
-  [[nodiscard]] const std::vector<Fault>& faults() const noexcept {
-    return faults_;
-  }
-  [[nodiscard]] std::size_t remaining() const noexcept {
-    return faults_.size() - cursor_;
-  }
   [[nodiscard]] std::size_t size() const noexcept { return faults_.size(); }
-
-  void rewind() noexcept { cursor_ = 0; }
 
  private:
   [[nodiscard]] std::vector<Fault> drain_pending(vds::sim::SimTime from,

@@ -17,7 +17,7 @@ double Axis::at(std::size_t i) const noexcept {
 
 GainSurface::GainSurface(Axis alpha, Axis beta, double p, int s,
                          runtime::ThreadPool* pool)
-    : alpha_(alpha), beta_(beta), p_(p), s_(s) {
+    : alpha_(alpha), beta_(beta) {
   if (alpha_.n == 0 || beta_.n == 0) {
     throw std::invalid_argument("GainSurface: empty axis");
   }
@@ -26,11 +26,11 @@ GainSurface::GainSurface(Axis alpha, Axis beta, double p, int s,
   // Each cell is a pure function of its grid point, so rows can fill
   // in any order; min/max reduce per alpha-row and fold in row order,
   // keeping the result independent of the work decomposition.
-  const auto fill_row = [this](std::size_t ai, double& row_min,
-                               double& row_max) {
+  const auto fill_row = [this, p, s](std::size_t ai, double& row_min,
+                                     double& row_max) {
     for (std::size_t bi = 0; bi < beta_.n; ++bi) {
       const Params params =
-          Params::with_beta(alpha_.at(ai), beta_.at(bi), s_, p_);
+          Params::with_beta(alpha_.at(ai), beta_.at(bi), s, p);
       const double g = mean_gain_corr(params);
       values_[ai * beta_.n + bi] = g;
       if (bi == 0) {

@@ -36,8 +36,6 @@ class GainSurface {
               runtime::ThreadPool* pool = nullptr);
 
   [[nodiscard]] double at(std::size_t ai, std::size_t bi) const;
-  [[nodiscard]] double p() const noexcept { return p_; }
-  [[nodiscard]] int s() const noexcept { return s_; }
 
   [[nodiscard]] double min_gain() const noexcept { return min_; }
   [[nodiscard]] double max_gain() const noexcept { return max_; }
@@ -52,8 +50,6 @@ class GainSurface {
  private:
   Axis alpha_;
   Axis beta_;
-  double p_;
-  int s_;
   std::vector<double> values_;  // row-major: [ai * beta_.n + bi]
   double min_ = 0.0;
   double max_ = 0.0;

@@ -42,22 +42,8 @@ class RecordLog {
   /// Appends the next record; `record.index` must equal next_index().
   void append(const RoundRecord& record);
 
-  /// Rounds recorded but not yet taken for replay.
-  [[nodiscard]] std::size_t pending() const noexcept {
-    return records_.size();
-  }
-
-  /// True once at least `window` rounds are pending.
-  [[nodiscard]] bool window_ready(std::size_t window) const noexcept {
-    return records_.size() >= window && window > 0;
-  }
-
   /// Removes and returns up to `window` records from the front.
   [[nodiscard]] std::vector<RoundRecord> take_window(std::size_t window);
-
-  /// Drops every pending record (rollback: the unverified suffix is
-  /// discarded along with the primary's unverified state).
-  void clear() noexcept { records_.clear(); }
 
   /// Index the next appended record must carry.
   [[nodiscard]] std::uint64_t next_index() const noexcept {

@@ -73,7 +73,6 @@ std::uint64_t parse_limit(const std::string& entry, const std::string& text) {
 Chaos Chaos::parse(std::string_view spec, std::uint64_t seed) {
   Chaos chaos;
   chaos.seed_ = seed;
-  chaos.spec_ = std::string(spec);
 
   std::size_t start = 0;
   while (start < spec.size()) {

@@ -52,9 +52,6 @@ class Chaos {
   [[nodiscard]] bool fires(std::string_view site, std::uint64_t key,
                            std::uint64_t attempt = 0) const noexcept;
 
-  /// The spec this instance was parsed from ("" when disarmed).
-  [[nodiscard]] const std::string& spec() const noexcept { return spec_; }
-
  private:
   struct Site {
     std::string name;
@@ -62,7 +59,6 @@ class Chaos {
     std::uint64_t limit = UINT64_MAX;  ///< max firing attempts per key
   };
 
-  std::string spec_;
   std::vector<Site> sites_;
   std::uint64_t seed_ = 0;
 };

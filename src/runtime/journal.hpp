@@ -168,17 +168,11 @@ class Journal {
   /// detected, and like a failed write it throws std::runtime_error —
   /// silently dropping records would let the campaign report success
   /// while the resume data is incomplete. After a failure the journal
-  /// is poisoned: `failed()` turns true and every further append
-  /// throws without writing.
+  /// is poisoned: every further append throws without writing.
   void append(std::span<const JournalRecord> records);
 
   /// `append` of a single record (one write(2)).
   void append(const JournalRecord& record) { append({&record, 1}); }
-
-  /// True once any append (or the one before it) failed.
-  [[nodiscard]] bool failed() const noexcept { return failed_.load(); }
-
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
   /// Arms write-side chaos sites (`journal.corrupt` flips a bit in
   /// the record body, `journal.torn` truncates the record mid-write;

@@ -298,8 +298,6 @@ class McExecution {
   /// final summary. Only valid once the pool has gone idle.
   [[nodiscard]] McSummary reduce(ThreadPool& pool);
 
-  [[nodiscard]] const McConfig& config() const noexcept { return config_; }
-
   /// Dispatch progress snapshot; safe to poll from another thread
   /// while the pool runs (every counter is an atomic). `target` is
   /// the number of cells this invocation can still resolve — it

@@ -83,10 +83,6 @@ class Server {
   /// up as `transport_errors` in vds.serve_stats.v1.
   void note_transport_error();
 
-  [[nodiscard]] const ServerOptions& options() const noexcept {
-    return options_;
-  }
-
  private:
   using Clock = std::chrono::steady_clock;
 

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdint>
-#include <limits>
 
 namespace vds::sim {
 
@@ -10,21 +9,13 @@ namespace vds::sim {
 ///
 /// Self-contained so that simulation results are reproducible across
 /// standard libraries (std::mt19937 streams are portable, but the std::
-/// distributions are not). Satisfies UniformRandomBitGenerator.
+/// distributions are not).
 class Rng {
  public:
-  using result_type = std::uint64_t;
-
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull) { reseed(seed); }
 
   void reseed(std::uint64_t seed);
 
-  static constexpr result_type min() noexcept { return 0; }
-  static constexpr result_type max() noexcept {
-    return std::numeric_limits<result_type>::max();
-  }
-
-  result_type operator()() noexcept { return next(); }
   std::uint64_t next() noexcept;
 
   /// Uniform double in [0, 1).
@@ -52,9 +43,6 @@ class Rng {
   /// Distinct stream ids yield statistically independent streams
   /// (SplitMix64 sequence anchored at the seed).
   [[nodiscard]] Rng substream(std::uint64_t stream_id) const noexcept;
-
-  /// The seed this generator was last (re)seeded with.
-  [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 
  private:
   std::uint64_t seed_ = 0;

@@ -32,8 +32,6 @@ class Accumulator {
   /// Merges another accumulator (parallel Welford / Chan et al.).
   void merge(const Accumulator& other) noexcept;
 
-  void reset() noexcept { *this = Accumulator{}; }
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;

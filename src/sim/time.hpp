@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cmath>
 #include <limits>
 
 namespace vds::sim {
@@ -13,17 +12,5 @@ using SimTime = double;
 /// Sentinel for "never".
 inline constexpr SimTime kTimeInfinity =
     std::numeric_limits<SimTime>::infinity();
-
-/// Tolerant floating-point time comparison. Discrete-event schedules
-/// accumulate rounding from repeated addition; two timestamps within
-/// `rel` of each other are considered simultaneous by analysis code
-/// (the event queue itself uses exact ordering plus sequence numbers,
-/// so determinism never depends on this).
-[[nodiscard]] inline bool time_close(SimTime a, SimTime b,
-                                     double rel = 1e-9) noexcept {
-  if (a == b) return true;
-  const double scale = std::fmax(std::fabs(a), std::fabs(b));
-  return std::fabs(a - b) <= rel * std::fmax(scale, 1.0);
-}
 
 }  // namespace vds::sim

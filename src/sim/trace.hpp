@@ -58,17 +58,10 @@ class Trace {
   void record(SimTime when, std::string actor, TraceKind kind,
               std::string detail = {});
 
-  void set_enabled(bool on) noexcept { enabled_ = on; }
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
   [[nodiscard]] const std::vector<TraceRecord>& records() const noexcept {
     return records_;
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
-  [[nodiscard]] std::size_t dropped() const noexcept { return dropped_; }
-  void clear() noexcept {
-    records_.clear();
-    dropped_ = 0;
   }
 
   /// Number of records of the given kind.

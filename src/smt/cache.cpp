@@ -19,11 +19,6 @@ Cache::Cache(CacheConfig config) : config_(config) {
   lines_.resize(static_cast<std::size_t>(config_.sets) * config_.ways);
 }
 
-std::uint32_t Cache::access(std::uint64_t word_addr) noexcept {
-  return access_hit(word_addr) ? config_.hit_latency
-                               : config_.miss_latency;
-}
-
 bool Cache::access_hit(std::uint64_t word_addr) noexcept {
   const std::uint64_t line_addr = word_addr / config_.line_words;
   const std::uint32_t set =
@@ -55,28 +50,6 @@ bool Cache::access_hit(std::uint64_t word_addr) noexcept {
   victim->lru = use_clock_;
   ++misses_;
   return false;
-}
-
-bool Cache::would_hit(std::uint64_t word_addr) const noexcept {
-  const std::uint64_t line_addr = word_addr / config_.line_words;
-  const std::uint32_t set =
-      static_cast<std::uint32_t>(line_addr % config_.sets);
-  const std::uint64_t tag = line_addr / config_.sets;
-  const Line* base = &lines_[static_cast<std::size_t>(set) * config_.ways];
-  for (std::uint32_t way = 0; way < config_.ways; ++way) {
-    if (base[way].valid && base[way].tag == tag) return true;
-  }
-  return false;
-}
-
-void Cache::flush() noexcept {
-  for (auto& line : lines_) line = Line{};
-}
-
-double Cache::hit_rate() const noexcept {
-  const std::uint64_t total = hits_ + misses_;
-  return total == 0 ? 0.0
-                    : static_cast<double>(hits_) / static_cast<double>(total);
 }
 
 }  // namespace vds::smt

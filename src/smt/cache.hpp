@@ -24,24 +24,13 @@ class Cache {
  public:
   explicit Cache(CacheConfig config);
 
-  /// Simulates an access to `word_addr`. Returns the access latency and
-  /// updates LRU/fill state.
-  std::uint32_t access(std::uint64_t word_addr) noexcept;
-
-  /// Same state update as access(), but reports hit/miss instead of a
-  /// latency -- used when this cache is one level of a hierarchy and
-  /// the caller composes the latencies.
+  /// Simulates an access to `word_addr`: updates LRU/fill state and
+  /// reports hit/miss. The caller composes the latencies, since this
+  /// cache may be one level of a hierarchy.
   bool access_hit(std::uint64_t word_addr) noexcept;
-
-  /// Pure lookup without state change (for tests/metrics).
-  [[nodiscard]] bool would_hit(std::uint64_t word_addr) const noexcept;
-
-  void flush() noexcept;
 
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
   [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
-  [[nodiscard]] double hit_rate() const noexcept;
-  [[nodiscard]] const CacheConfig& config() const noexcept { return config_; }
 
  private:
   struct Line {

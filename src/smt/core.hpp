@@ -94,8 +94,6 @@ class Core {
   CoreResult run(const InstrTrace& solo);
   CoreResult run(const InstrTrace& t0, const InstrTrace& t1);
 
-  [[nodiscard]] const CoreConfig& config() const noexcept { return config_; }
-
  private:
   CoreConfig config_;
   FetchPolicy policy_;

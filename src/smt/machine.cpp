@@ -15,11 +15,6 @@ std::uint64_t mix64(std::uint64_t h, std::uint64_t x) noexcept {
 Machine::Machine(std::size_t memory_words)
     : memory_(memory_words == 0 ? 1 : memory_words, 0) {}
 
-void Machine::reset() noexcept {
-  regs_.fill(0);
-  for (auto& word : memory_) word = 0;
-}
-
 void Machine::set_reg(std::uint8_t reg, std::uint64_t value) {
   regs_.at(reg % kNumRegisters) = value;
 }

@@ -51,8 +51,6 @@ class Machine {
   /// memory_words: size of the flat word-addressed data memory.
   explicit Machine(std::size_t memory_words = 4096);
 
-  void reset() noexcept;
-
   /// Sets an input register (r0 is writable; there is no hardwired zero).
   void set_reg(std::uint8_t reg, std::uint64_t value);
   [[nodiscard]] std::uint64_t reg(std::uint8_t reg_index) const;

@@ -1,7 +1,5 @@
 #include "smt/metrics.hpp"
 
-#include <sstream>
-
 namespace vds::smt {
 
 AlphaMeasurement measure_alpha(const CoreConfig& config, FetchPolicy policy,
@@ -38,21 +36,6 @@ AlphaMeasurement measure_alpha(const CoreConfig& config, FetchPolicy policy,
     m.throughput_speedup = serial / static_cast<double>(m.cycles_together);
   }
   return m;
-}
-
-AlphaMeasurement measure_alpha(const CoreConfig& config, FetchPolicy policy,
-                               const InstrTrace& trace) {
-  return measure_alpha(config, policy, trace, trace);
-}
-
-std::string to_string(const AlphaMeasurement& m) {
-  std::ostringstream os;
-  os << "alpha=" << m.alpha << " (alone " << m.cycles_a_alone << "+"
-     << m.cycles_b_alone << " cy, together " << m.cycles_together
-     << " cy, speedup " << m.throughput_speedup << "x, ipc "
-     << m.ipc_a_alone << "/" << m.ipc_b_alone << " -> " << m.ipc_together
-     << ")";
-  return os.str();
 }
 
 }  // namespace vds::smt

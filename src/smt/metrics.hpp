@@ -1,7 +1,5 @@
 #pragma once
 
-#include <string>
-
 #include "smt/core.hpp"
 
 namespace vds::smt {
@@ -31,13 +29,5 @@ struct AlphaMeasurement {
                                              FetchPolicy policy,
                                              const InstrTrace& a,
                                              const InstrTrace& b);
-
-/// Homogeneous convenience: both threads run the same trace.
-[[nodiscard]] AlphaMeasurement measure_alpha(const CoreConfig& config,
-                                             FetchPolicy policy,
-                                             const InstrTrace& trace);
-
-/// Pretty one-line summary for bench output.
-[[nodiscard]] std::string to_string(const AlphaMeasurement& m);
 
 }  // namespace vds::smt

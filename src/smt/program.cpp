@@ -1,7 +1,6 @@
 #include "smt/program.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace vds::smt {
 
@@ -31,15 +30,6 @@ std::size_t Program::edit_distance(const Program& other) const {
     std::swap(prev, curr);
   }
   return prev[m];
-}
-
-std::string Program::to_string() const {
-  std::ostringstream os;
-  os << "; " << name_ << " (" << code_.size() << " instrs)\n";
-  for (std::size_t i = 0; i < code_.size(); ++i) {
-    os << i << ":\t" << code_[i].to_string() << '\n';
-  }
-  return os.str();
 }
 
 }  // namespace vds::smt

@@ -23,7 +23,6 @@ class Program {
   void set_name(std::string name) { name_ = std::move(name); }
 
   [[nodiscard]] std::size_t size() const noexcept { return code_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return code_.empty(); }
   [[nodiscard]] const Instr& at(std::size_t i) const { return code_.at(i); }
   [[nodiscard]] Instr& at(std::size_t i) { return code_.at(i); }
   [[nodiscard]] const std::vector<Instr>& code() const noexcept {
@@ -37,13 +36,6 @@ class Program {
   /// Instruction-level edit distance to another program (Levenshtein on
   /// exact Instr equality) -- a crude but useful diversity metric.
   [[nodiscard]] std::size_t edit_distance(const Program& other) const;
-
-  /// Disassembly, one instruction per line.
-  [[nodiscard]] std::string to_string() const;
-
-  friend bool operator==(const Program& a, const Program& b) noexcept {
-    return a.code_ == b.code_;
-  }
 
  private:
   std::string name_;

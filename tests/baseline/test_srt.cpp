@@ -177,7 +177,7 @@ TEST(LockstepSrt, FaultDuringRollbackLatencyIsDropped) {
   EXPECT_EQ(report.detections, 1u);
   EXPECT_EQ(report.comparisons, 50u);
   EXPECT_EQ(report.total_time, 13.0);
-  EXPECT_EQ(timeline.remaining(), 0u);
+  EXPECT_EQ(timeline.next_time(), vds::sim::kTimeInfinity);
 }
 
 TEST(LockstepSrt, FaultFreeClockIsThePerChunkSum) {
@@ -402,7 +402,7 @@ TEST(LockstepSrt, CleanChunkLoopMatchesThePerChunkLoopBitwise) {
         LockstepSrt(config, vds::sim::Rng(trial)).run(for_engine);
     const auto want = reference_run(config, for_reference);
     expect_same_report(got, want);
-    EXPECT_EQ(for_engine.remaining(), for_reference.remaining());
+    EXPECT_EQ(for_engine.next_time(), for_reference.next_time());
   }
 }
 

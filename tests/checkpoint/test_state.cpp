@@ -34,7 +34,7 @@ TEST(VersionState, AdvanceIsDeterministic) {
     b.advance_round(r);
   }
   EXPECT_TRUE(a.equals(b));
-  EXPECT_EQ(a.rounds_applied(), 50u);
+  EXPECT_TRUE(a.equals(VersionState::golden(7, 8, 50)));
 }
 
 TEST(VersionState, ReplayFromCopyReproducesState) {
@@ -104,7 +104,7 @@ TEST(VersionState, SingleBitChangesDigest) {
 
 TEST(VersionState, ZeroWordsClampedToOne) {
   const VersionState s(1, 0);
-  EXPECT_EQ(s.words(), 1u);
+  EXPECT_EQ(s.data().size(), 1u);
 }
 
 class StateSizeSweep : public ::testing::TestWithParam<std::size_t> {};
@@ -225,7 +225,6 @@ TEST(CleanTag, GoldenMatchesTheAdvancedSeededState) {
   for (const std::uint64_t round : {0ull, 1ull, 63ull, 64ull, 65ull, 1000ull}) {
     const VersionState tag = VersionState::golden(8, 5, round);
     EXPECT_TRUE(tag.clean());
-    EXPECT_EQ(tag.rounds_applied(), round);
     const EagerState reference = eager_golden(8, 5, round);
     EXPECT_EQ(tag.digest(), reference.digest()) << round;
     EXPECT_EQ(tag.data(), reference.data()) << round;
@@ -296,7 +295,6 @@ TEST_P(CleanTagProperty, MatchesTheEagerState) {
     } else {
       ASSERT_EQ(tags[i].digest(), refs[i].digest()) << "step " << step;
     }
-    ASSERT_EQ(tags[i].rounds_applied(), refs[i].rounds_applied());
     ASSERT_EQ(tags[i].equals(tags[j]), refs[i].data() == refs[j].data())
         << "step " << step;
   }

@@ -39,7 +39,7 @@ VersionState flipped(const VersionState& base, int flips,
                      vds::sim::Rng& rng) {
   VersionState out = base;
   for (int k = 0; k < flips; ++k) {
-    out.flip_bit(rng.uniform_index(base.words()),
+    out.flip_bit(rng.uniform_index(base.data().size()),
                  static_cast<unsigned>(rng.uniform_index(64)));
   }
   return out;

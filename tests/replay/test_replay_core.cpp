@@ -48,14 +48,13 @@ TEST(RecordLogTest, AppendsAndTakesInOrder) {
   RecordLog log;
   std::uint64_t state = 42;
   for (const RoundRecord& rec : record_rounds(state, 0, 5)) log.append(rec);
-  EXPECT_EQ(log.pending(), 5u);
-  EXPECT_TRUE(log.window_ready(4));
   const auto window = log.take_window(4);
   ASSERT_EQ(window.size(), 4u);
   EXPECT_EQ(window.front().index, 0u);
   EXPECT_EQ(window.back().index, 3u);
-  EXPECT_EQ(log.pending(), 1u);
-  EXPECT_FALSE(log.window_ready(4));
+  const auto rest = log.take_window(4);
+  ASSERT_EQ(rest.size(), 1u);
+  EXPECT_EQ(rest.front().index, 4u);
 }
 
 TEST(RecordLogTest, TakeWindowClampsToPending) {
@@ -63,7 +62,7 @@ TEST(RecordLogTest, TakeWindowClampsToPending) {
   std::uint64_t state = 42;
   for (const RoundRecord& rec : record_rounds(state, 0, 3)) log.append(rec);
   EXPECT_EQ(log.take_window(8).size(), 3u);
-  EXPECT_EQ(log.pending(), 0u);
+  EXPECT_TRUE(log.take_window(8).empty());
 }
 
 TEST(RecordLogTest, RejectsNonMonotonicIndex) {
@@ -78,10 +77,11 @@ TEST(RecordLogTest, RewindRestartsNumbering) {
   std::uint64_t state = 42;
   for (const RoundRecord& rec : record_rounds(state, 0, 4)) log.append(rec);
   log.rewind_to(2);
-  EXPECT_EQ(log.pending(), 0u);
   EXPECT_EQ(log.next_index(), 2u);
   log.append({2, 9, 9});
-  EXPECT_EQ(log.pending(), 1u);
+  const auto window = log.take_window(8);
+  ASSERT_EQ(window.size(), 1u);
+  EXPECT_EQ(window.front().index, 2u);
 }
 
 TEST(ReplayerTest, CleanWindowMatchesAndAdvancesState) {

@@ -104,8 +104,15 @@ TEST(Chaos, ParseRejectsMalformedSpecs) {
 }
 
 TEST(Chaos, SpecRoundTripsAndKnownSitesComplete) {
+  // The parsed spec arms its own site at its own probability only.
   const Chaos chaos = Chaos::parse("pool.delay=0.125", 2);
-  EXPECT_EQ(chaos.spec(), "pool.delay=0.125");
+  int fired = 0;
+  for (std::uint64_t key = 0; key < 8000; ++key) {
+    if (chaos.fires(kChaosPoolDelay, key)) ++fired;
+    EXPECT_FALSE(chaos.fires(kChaosCellFail, key));
+  }
+  // Binomial(8000, 1/8): 5 sigma is ~148.
+  EXPECT_NEAR(fired, 1000, 150);
   // Every site parses, and an unknown site's error names all of them.
   std::string message;
   try {

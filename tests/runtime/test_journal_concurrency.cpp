@@ -105,7 +105,6 @@ TEST_F(JournalConcurrencyTest, EveryRecordLandsExactlyOnceAndWhole) {
       });
     }
     for (std::thread& thread : threads) thread.join();
-    EXPECT_FALSE(journal.failed());
   }
   const JournalLoad load = Journal::load(path_, kFingerprint);
   EXPECT_EQ(load.version, 3);
@@ -149,7 +148,6 @@ TEST(JournalConcurrency, PoisonedJournalRefusesEveryWriter) {
     });
   }
   for (std::thread& thread : threads) thread.join();
-  EXPECT_TRUE(journal.failed());
   EXPECT_EQ(succeeded.load(), 0);
   EXPECT_EQ(threw.load(), kWriters * kAppends);
 }

@@ -173,19 +173,5 @@ TEST(Rng, SubstreamsOfDifferentSeedsDiffer) {
   EXPECT_LT(equal, 5);
 }
 
-TEST(Rng, SeedAccessorTracksReseed) {
-  Rng rng(33);
-  EXPECT_EQ(rng.seed(), 33u);
-  rng.reseed(44);
-  EXPECT_EQ(rng.seed(), 44u);
-}
-
-TEST(Rng, SatisfiesUniformRandomBitGenerator) {
-  static_assert(Rng::min() == 0);
-  static_assert(Rng::max() == ~0ull);
-  Rng rng(18);
-  EXPECT_NE(rng(), rng());
-}
-
 }  // namespace
 }  // namespace vds::sim

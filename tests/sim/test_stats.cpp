@@ -219,13 +219,6 @@ TEST(Accumulator, CiHalfwidthTMatchesHandComputation) {
   EXPECT_GT(acc.ci_halfwidth_t(0.95), 1.959964 * acc.sem());
 }
 
-TEST(Accumulator, ResetClears) {
-  Accumulator acc;
-  acc.add(5.0);
-  acc.reset();
-  EXPECT_TRUE(acc.empty());
-}
-
 // --- Histogram ------------------------------------------------------
 
 constexpr double kInf = std::numeric_limits<double>::infinity();

@@ -7,28 +7,6 @@
 namespace vds {
 namespace {
 
-TEST(TimeClose, ExactEquality) {
-  EXPECT_TRUE(sim::time_close(1.0, 1.0));
-  EXPECT_TRUE(sim::time_close(0.0, 0.0));
-}
-
-TEST(TimeClose, WithinRelativeTolerance) {
-  EXPECT_TRUE(sim::time_close(1000.0, 1000.0 + 1e-7));
-  EXPECT_FALSE(sim::time_close(1000.0, 1000.1));
-}
-
-TEST(TimeClose, SmallMagnitudesUseAbsoluteFloor) {
-  // Near zero the tolerance floor is rel * 1.0.
-  EXPECT_TRUE(sim::time_close(1e-12, 2e-12));
-  EXPECT_FALSE(sim::time_close(0.0, 1e-3));
-}
-
-TEST(TimeClose, AccumulatedRoundingAccepted) {
-  double sum = 0.0;
-  for (int k = 0; k < 1000; ++k) sum += 0.1;
-  EXPECT_TRUE(sim::time_close(sum, 100.0));
-}
-
 TEST(TimeInfinity, ComparesAboveEverything) {
   EXPECT_GT(sim::kTimeInfinity, 1e300);
 }

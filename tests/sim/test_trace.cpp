@@ -11,7 +11,7 @@ TEST(Trace, RecordsInOrder) {
   Trace trace;
   trace.record(1.0, "V1", TraceKind::kRoundStart, "round 1");
   trace.record(2.0, "V2", TraceKind::kRoundEnd);
-  ASSERT_EQ(trace.size(), 2u);
+  ASSERT_EQ(trace.records().size(), 2u);
   EXPECT_EQ(trace.records()[0].actor, "V1");
   EXPECT_EQ(trace.records()[1].kind, TraceKind::kRoundEnd);
 }
@@ -19,10 +19,7 @@ TEST(Trace, RecordsInOrder) {
 TEST(Trace, DisabledRecordsNothing) {
   Trace trace(/*enabled=*/false);
   trace.record(1.0, "V1", TraceKind::kCompare);
-  EXPECT_EQ(trace.size(), 0u);
-  trace.set_enabled(true);
-  trace.record(2.0, "V1", TraceKind::kCompare);
-  EXPECT_EQ(trace.size(), 1u);
+  EXPECT_TRUE(trace.records().empty());
 }
 
 TEST(Trace, CapDropsExcess) {
@@ -30,8 +27,10 @@ TEST(Trace, CapDropsExcess) {
   for (int k = 0; k < 5; ++k) {
     trace.record(k, "x", TraceKind::kInfo);
   }
-  EXPECT_EQ(trace.size(), 2u);
-  EXPECT_EQ(trace.dropped(), 3u);
+  EXPECT_EQ(trace.records().size(), 2u);
+  std::ostringstream os;
+  trace.dump(os);
+  EXPECT_NE(os.str().find("(3 records dropped)"), std::string::npos);
 }
 
 TEST(Trace, CountByKind) {
@@ -42,15 +41,6 @@ TEST(Trace, CountByKind) {
   EXPECT_EQ(trace.count(TraceKind::kCompare), 2u);
   EXPECT_EQ(trace.count(TraceKind::kCheckpoint), 1u);
   EXPECT_EQ(trace.count(TraceKind::kRollback), 0u);
-}
-
-TEST(Trace, ClearResets) {
-  Trace trace(true, 1);
-  trace.record(0.0, "x", TraceKind::kInfo);
-  trace.record(1.0, "x", TraceKind::kInfo);
-  trace.clear();
-  EXPECT_EQ(trace.size(), 0u);
-  EXPECT_EQ(trace.dropped(), 0u);
 }
 
 TEST(Trace, DumpContainsKindNamesAndActors) {

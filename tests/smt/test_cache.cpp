@@ -30,66 +30,47 @@ TEST(CacheConfig, Validation) {
 
 TEST(Cache, ColdMissThenHit) {
   Cache cache(small_cache());
-  EXPECT_EQ(cache.access(0), 20u);  // cold miss
-  EXPECT_EQ(cache.access(0), 2u);   // hit
-  EXPECT_EQ(cache.access(3), 2u);   // same line
-  EXPECT_EQ(cache.access(4), 20u);  // next line
+  EXPECT_FALSE(cache.access_hit(0));  // cold miss
+  EXPECT_TRUE(cache.access_hit(0));   // hit
+  EXPECT_TRUE(cache.access_hit(3));   // same line
+  EXPECT_FALSE(cache.access_hit(4));  // next line
   EXPECT_EQ(cache.hits(), 2u);
   EXPECT_EQ(cache.misses(), 2u);
-}
-
-TEST(Cache, WouldHitDoesNotMutate) {
-  Cache cache(small_cache());
-  EXPECT_FALSE(cache.would_hit(0));
-  cache.access(0);
-  EXPECT_TRUE(cache.would_hit(0));
-  EXPECT_EQ(cache.hits() + cache.misses(), 1u);
 }
 
 TEST(Cache, AssociativityHoldsConflictingLines) {
   Cache cache(small_cache());
   // Two lines mapping to the same set (stride = sets * line_words).
   const std::uint64_t stride = 4 * 4;
-  cache.access(0);
-  cache.access(stride);
-  EXPECT_EQ(cache.access(0), 2u);       // both fit in 2 ways
-  EXPECT_EQ(cache.access(stride), 2u);
+  cache.access_hit(0);
+  cache.access_hit(stride);
+  EXPECT_TRUE(cache.access_hit(0));  // both fit in 2 ways
+  EXPECT_TRUE(cache.access_hit(stride));
 }
 
 TEST(Cache, LruEvictsLeastRecentlyUsed) {
   Cache cache(small_cache());
   const std::uint64_t stride = 4 * 4;
-  cache.access(0 * stride);  // way 0
-  cache.access(1 * stride);  // way 1
-  cache.access(0 * stride);  // touch line 0 -> line 1 is now LRU
-  cache.access(2 * stride);  // evicts line 1
-  EXPECT_EQ(cache.access(0 * stride), 2u);   // still resident
-  EXPECT_EQ(cache.access(1 * stride), 20u);  // was evicted
-}
-
-TEST(Cache, FlushEmptiesEverything) {
-  Cache cache(small_cache());
-  cache.access(0);
-  cache.flush();
-  EXPECT_FALSE(cache.would_hit(0));
-  EXPECT_EQ(cache.access(0), 20u);
+  cache.access_hit(0 * stride);  // way 0
+  cache.access_hit(1 * stride);  // way 1
+  cache.access_hit(0 * stride);  // touch line 0 -> line 1 is now LRU
+  cache.access_hit(2 * stride);  // evicts line 1
+  EXPECT_TRUE(cache.access_hit(0 * stride));   // still resident
+  EXPECT_FALSE(cache.access_hit(1 * stride));  // was evicted
 }
 
 TEST(Cache, HitRate) {
   Cache cache(small_cache());
-  EXPECT_DOUBLE_EQ(cache.hit_rate(), 0.0);
-  cache.access(0);
-  cache.access(0);
-  cache.access(0);
-  cache.access(0);
-  EXPECT_DOUBLE_EQ(cache.hit_rate(), 0.75);
+  for (int k = 0; k < 4; ++k) cache.access_hit(0);
+  EXPECT_EQ(cache.hits(), 3u);
+  EXPECT_EQ(cache.misses(), 1u);
 }
 
 TEST(Cache, SequentialFootprintFitsWhenSmall) {
   // 4 sets x 2 ways x 4 words = 32 words capacity.
   Cache cache(small_cache());
   for (int pass = 0; pass < 2; ++pass) {
-    for (std::uint64_t addr = 0; addr < 32; ++addr) cache.access(addr);
+    for (std::uint64_t addr = 0; addr < 32; ++addr) cache.access_hit(addr);
   }
   // Second pass should be all hits: 32 hits from pass 1 re-walk plus
   // the 3-of-4 same-line hits in pass 0.
@@ -102,7 +83,9 @@ TEST(Cache, ThrashingFootprintMisses) {
   // on a cyclic walk.
   std::uint64_t misses_before = 0;
   for (int pass = 0; pass < 3; ++pass) {
-    for (std::uint64_t addr = 0; addr < 128; addr += 4) cache.access(addr);
+    for (std::uint64_t addr = 0; addr < 128; addr += 4) {
+      cache.access_hit(addr);
+    }
     if (pass == 0) misses_before = cache.misses();
   }
   EXPECT_EQ(cache.misses(), misses_before * 3);

@@ -231,8 +231,8 @@ TEST_P(AlphaBand, AlphaAlwaysInHalfToOne) {
   CoreConfig config;  // default 4-wide
   const auto m =
       measure_alpha(config, FetchPolicy::kIcount, trace_a, trace_b);
-  EXPECT_GE(m.alpha, 0.47) << to_string(m);
-  EXPECT_LE(m.alpha, 1.0 + 0.02) << to_string(m);
+  EXPECT_GE(m.alpha, 0.47);
+  EXPECT_LE(m.alpha, 1.0 + 0.02);
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, AlphaBand, ::testing::Range(0, 10));

@@ -88,11 +88,11 @@ TEST(Machine, BranchTakenAndNotTaken) {
   EXPECT_EQ(machine.reg(10), 0u);
   EXPECT_EQ(machine.reg(11), 1u);
 
-  machine.reset();
-  machine.set_reg(1, 5);
-  machine.set_reg(2, 6);  // not taken now
-  machine.run(program);
-  EXPECT_EQ(machine.reg(10), 666u);
+  Machine not_taken(64);
+  not_taken.set_reg(1, 5);
+  not_taken.set_reg(2, 6);
+  not_taken.run(program);
+  EXPECT_EQ(not_taken.reg(10), 666u);
 }
 
 TEST(Machine, LoopExecutesExpectedIterations) {
