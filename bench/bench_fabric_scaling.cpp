@@ -6,8 +6,9 @@
 // baseline. The digest must be identical everywhere — sharding is
 // just more scheduling on top of per-cell RNG substreams — so the
 // table measures only the cost/benefit of distribution: handshake
-// and heartbeat traffic, per-lease journal fsyncs, and the final
-// merge + full-range resume. CI greps for MISMATCH/REGRESSION.
+// and heartbeat traffic, per-lease journal writes (one write(2) per
+// dispatch block), and the final merge + full-range resume. CI greps
+// for MISMATCH/REGRESSION.
 
 #include <chrono>
 #include <cstdio>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -16,6 +17,7 @@
 
 #include <cerrno>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -33,21 +35,44 @@ namespace {
 
 using Clock = LeaseTable::Clock;
 
-/// Shared coordinator state: the lease table behind one mutex, plus
-/// the first fatal error (a digest conflict or a log write failure)
-/// any connection thread hit.
+/// Longest any coordinator thread sleeps without looking at the drain
+/// flag, which a signal handler sets but cannot notify.
+constexpr auto kDrainCheck = std::chrono::milliseconds(100);
+
+/// Shared coordinator state: the lease table behind one mutex, the
+/// first fatal error (a digest conflict) any connection thread hit,
+/// and what wakes the waiting threads.
 struct Shared {
   std::mutex mutex;
   LeaseTable table;
+  /// Notified on every commit, release, expiry and fatal error: each
+  /// may give an idle connection a lease to grant, or end the campaign.
+  std::condition_variable changed;
   std::atomic<bool> fatal{false};
   std::string fatal_message;  // guarded by mutex
+  /// eventfd the accept loop polls beside the listener. Written when
+  /// the last lease commits or a fatal error lands, so the loop stops
+  /// accepting at once instead of at its next sweep.
+  const int wake_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
 
   explicit Shared(LeaseTable::Options options)
       : table(std::move(options)) {}
+  ~Shared() {
+    if (wake_fd >= 0) ::close(wake_fd);
+  }
+
+  void wake_accept_loop() const {
+    const std::uint64_t one = 1;
+    [[maybe_unused]] const ssize_t wrote = ::write(wake_fd, &one, sizeof one);
+  }
 
   void fail(const std::string& message) {
-    std::lock_guard<std::mutex> lock(mutex);
-    if (!fatal.exchange(true)) fatal_message = message;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      if (!fatal.exchange(true)) fatal_message = message;
+    }
+    changed.notify_all();
+    wake_accept_loop();
   }
 };
 
@@ -62,6 +87,8 @@ struct Shared {
 
 /// One worker connection: handshake, then a grant/collect loop until
 /// the campaign commits fully, the peer vanishes, or a drain lands.
+/// With no lease to grant the thread waits on `Shared::changed`, not
+/// on its socket, so the last commit anywhere sends `done` at once.
 /// Every exit path releases an outstanding grant so the lease expiry
 /// machinery never has to wait out a heartbeat timeout for a
 /// connection the coordinator *watched* die.
@@ -74,9 +101,12 @@ void serve_worker(const CoordinatorOptions& options, Shared& shared, int fd) {
 
   const auto release_held = [&] {
     if (!held) return;
-    std::lock_guard<std::mutex> lock(shared.mutex);
-    shared.table.release(*held, Clock::now());
+    {
+      std::lock_guard<std::mutex> lock(shared.mutex);
+      shared.table.release(*held, Clock::now());
+    }
     held.reset();
+    shared.changed.notify_all();
   };
 
   // Handshake: hello in, config out.
@@ -105,9 +135,19 @@ void serve_worker(const CoordinatorOptions& options, Shared& shared, int fd) {
       bool done;
       std::optional<LeaseTable::Grant> grant;
       {
-        std::lock_guard<std::mutex> lock(shared.mutex);
+        std::unique_lock<std::mutex> lock(shared.mutex);
         done = shared.table.all_committed();
         if (!done) grant = shared.table.next_grant(Clock::now());
+        if (!done && !grant && !shared.fatal.load()) {
+          // Nothing to grant before a notify or the earliest backoff
+          // deadline; then fall through to a non-blocking look at the
+          // socket for a hang-up or a drain.
+          Clock::time_point until = Clock::now() + kDrainCheck;
+          if (const auto open = shared.table.next_open_at()) {
+            until = std::min(until, *open);
+          }
+          shared.changed.wait_until(lock, until);
+        }
       }
       if (done) {
         sink.write_line(format_done());
@@ -128,7 +168,9 @@ void serve_worker(const CoordinatorOptions& options, Shared& shared, int fd) {
                    static_cast<unsigned long long>(grant->attempt));
       }
     }
-    switch (reader.poll_next(line, 200)) {
+    // Holding a lease: wait for its heartbeats and result. Idle: the
+    // worker sends nothing, so only check for a hang-up.
+    switch (reader.poll_next(line, held ? 200 : 0)) {
       case serve::LineReader::Status::kLine: {
         try {
           const scenario::JsonValue doc = scenario::parse_json(line);
@@ -147,15 +189,20 @@ void serve_worker(const CoordinatorOptions& options, Shared& shared, int fd) {
                            worker.c_str(),
                            static_cast<unsigned long long>(result.lease),
                            result.error.c_str());
-                std::lock_guard<std::mutex> lock(shared.mutex);
-                shared.table.release(result.lease, Clock::now());
+                {
+                  std::lock_guard<std::mutex> lock(shared.mutex);
+                  shared.table.release(result.lease, Clock::now());
+                }
+                shared.changed.notify_all();
                 break;
               }
               LeaseTable::CommitOutcome outcome;
+              bool finished;
               {
                 std::lock_guard<std::mutex> lock(shared.mutex);
                 outcome = shared.table.commit(result.lease, result.attempt,
                                               result.digest, result.cells);
+                finished = shared.table.all_committed();
               }
               if (outcome == LeaseTable::CommitOutcome::kConflict) {
                 shared.fail("lease " + std::to_string(result.lease) +
@@ -164,7 +211,10 @@ void serve_worker(const CoordinatorOptions& options, Shared& shared, int fd) {
                             " but a different digest is already "
                             "committed — shards disagree about the same "
                             "cells, refusing to continue");
+                break;
               }
+              shared.changed.notify_all();
+              if (finished) shared.wake_accept_loop();
               break;
             }
             default:
@@ -254,24 +304,10 @@ int run_coordinator(const CoordinatorOptions& options) {
                  hex16(mc.fingerprint()).c_str());
   }
 
-  // Expiry monitor: sweeps granted leases for heartbeat silence. Runs
-  // until the accept loop below decides the campaign is over.
-  std::atomic<bool> stop_monitor{false};
-  std::thread monitor([&] {
-    while (!stop_monitor.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-      std::lock_guard<std::mutex> lock(shared->mutex);
-      for (const std::uint64_t id :
-           shared->table.expire_stale(Clock::now())) {
-        if (!options.quiet) {
-          std::fprintf(stderr,
-                       "fabric: lease %llu expired (heartbeat silence); "
-                       "reopening\n",
-                       static_cast<unsigned long long>(id));
-        }
-      }
-    }
-  });
+  if (shared->wake_fd < 0) {
+    std::perror("fabric: eventfd");
+    return 3;
+  }
 
   int listen_fd = -1;
   if (!options.socket_path.empty()) {
@@ -281,25 +317,40 @@ int run_coordinator(const CoordinatorOptions& options) {
   }
   if (listen_fd < 0) {
     std::perror("fabric: bind/listen");
-    stop_monitor.store(true);
-    monitor.join();
     return 3;
   }
 
-  // Accept loop. Bounded poll so completion (or a fatal error) is
-  // noticed promptly even with no connection attempt in flight.
+  // Accept loop. It also sweeps granted leases for heartbeat silence,
+  // at least every kDrainCheck. The thread that commits the last lease
+  // or records a fatal error writes `wake_fd`, which ends the loop at
+  // once.
   std::vector<std::thread> connections;
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(shared->mutex);
       if (shared->table.all_committed()) break;
+      const std::vector<std::uint64_t> expired =
+          shared->table.expire_stale(Clock::now());
+      for (const std::uint64_t id : expired) {
+        FABRIC_LOG(options,
+                   "lease %llu expired (heartbeat silence); reopening\n",
+                   static_cast<unsigned long long>(id));
+      }
+      if (!expired.empty()) shared->changed.notify_all();
     }
     if (shared->fatal.load()) break;
     if (runtime::drain_requested()) break;
-    struct pollfd pfd = {listen_fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 100);
+    struct pollfd pfds[2] = {{listen_fd, POLLIN, 0},
+                             {shared->wake_fd, POLLIN, 0}};
+    const int ready = ::poll(pfds, 2, static_cast<int>(kDrainCheck.count()));
     if (ready < 0 && errno != EINTR) break;
     if (ready <= 0) continue;
+    if (pfds[1].revents != 0) {
+      std::uint64_t count;
+      [[maybe_unused]] const ssize_t got =
+          ::read(shared->wake_fd, &count, sizeof count);
+    }
+    if ((pfds[0].revents & POLLIN) == 0) continue;
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) continue;
     connections.emplace_back(
@@ -308,8 +359,6 @@ int run_coordinator(const CoordinatorOptions& options) {
   ::close(listen_fd);
   if (!options.socket_path.empty()) ::unlink(options.socket_path.c_str());
   for (std::thread& connection : connections) connection.join();
-  stop_monitor.store(true);
-  monitor.join();
 
   if (shared->fatal.load()) {
     std::fprintf(stderr, "fabric: fatal: %s\n",

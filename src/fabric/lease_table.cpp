@@ -201,6 +201,18 @@ bool LeaseTable::all_committed() const noexcept {
   return audit_.committed == entries_.size();
 }
 
+std::optional<LeaseTable::Clock::time_point> LeaseTable::next_open_at()
+    const {
+  std::optional<Clock::time_point> earliest;
+  for (const Entry& entry : entries_) {
+    if (entry.state != State::kOpen) continue;
+    if (!earliest || entry.backoff_until < *earliest) {
+      earliest = entry.backoff_until;
+    }
+  }
+  return earliest;
+}
+
 std::vector<std::string> LeaseTable::committed_journals() const {
   std::vector<std::string> paths;
   paths.reserve(entries_.size());

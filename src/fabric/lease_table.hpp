@@ -115,6 +115,11 @@ class LeaseTable {
 
   [[nodiscard]] bool all_committed() const noexcept;
 
+  /// When the earliest open lease's backoff ends (it may already have
+  /// ended); nullopt when no lease is open. The coordinator's idle
+  /// connections sleep until then at most.
+  [[nodiscard]] std::optional<Clock::time_point> next_open_at() const;
+
   /// Shard journal paths of every committed lease (its committed
   /// attempt), lease order — the merge set for the final digest.
   [[nodiscard]] std::vector<std::string> committed_journals() const;

@@ -6,7 +6,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <stdexcept>
 
 #include <fcntl.h>
@@ -330,6 +329,7 @@ bool decode_v3_payload(const unsigned char* p, std::size_t n,
   return pos == n;  // trailing bytes would hide corruption
 }
 
+constexpr std::size_t kMinV3Line = 2 + kV3MinPayload + 4 + 1;
 constexpr std::size_t kMaxV3Line = 2 + kV3MaxPayload + 4 + 1;
 
 /// Frames one record into `line` (room for kMaxV3Line bytes) and
@@ -421,6 +421,10 @@ void parse_v3_journal(const std::string& path, std::string_view data,
   result.has_header = true;
 
   std::size_t pos = kV3HeaderSize;
+  // At most one record per kMinV3Line bytes. Reserving that up front
+  // spares the regrowth copies of a large journal; the pages no record
+  // reaches are never touched.
+  result.records.reserve((data.size() - pos) / kMinV3Line);
   bool resync = false;
   const auto next_marker = [&](std::size_t from) {
     const std::size_t at = data.find(static_cast<char>(kV3Marker), from);
@@ -631,86 +635,104 @@ JournalMergeStats merge_journals(const std::vector<std::string>& inputs,
   }
   JournalMergeStats stats;
   stats.inputs = inputs.size();
-  std::map<std::uint64_t, JournalRecord> cells;  // sorted by cell index
-  std::map<std::uint64_t, const std::string*> sources;
-  std::map<std::uint64_t, JournalRecord> stops;  // sorted by stratum index
-  std::map<std::uint64_t, const std::string*> stop_sources;
-  std::vector<JournalRecord> leases;  // event history: input order, verbatim
-  bool have_fingerprint = false;
+  std::vector<JournalLoad> loads;
+  loads.reserve(inputs.size());
   for (const std::string& in : inputs) {
-    const JournalLoad loaded = Journal::inspect(in);
+    JournalLoad& loaded = loads.emplace_back(Journal::inspect(in));
     if (!loaded.has_header) {
       throw std::runtime_error("journal merge: '" + in +
                                "' is missing, empty, or has no journal "
                                "header; every shard must be a journal");
     }
-    if (!have_fingerprint) {
-      stats.fingerprint = loaded.fingerprint;
-      have_fingerprint = true;
-    } else if (loaded.fingerprint != stats.fingerprint) {
+    if (loaded.fingerprint != loads.front().fingerprint) {
       throw std::runtime_error(
           "journal merge: '" + in + "' has fingerprint " +
           hex16(loaded.fingerprint) + " but '" + inputs.front() + "' has " +
-          hex16(stats.fingerprint) +
+          hex16(loads.front().fingerprint) +
           "; shards of one campaign share a fingerprint — these journals "
           "belong to different campaigns");
     }
     stats.corrupt += loaded.corrupt;
-    for (const JournalRecord& record : loaded.records) {
-      ++stats.records_in;
-      const auto [it, inserted] = cells.try_emplace(record.index, record);
-      if (inserted) {
-        sources.emplace(record.index, &in);
-        continue;
-      }
-      if (it->second == record) {
+    stats.records_in += loaded.records.size() + loaded.stops.size() +
+                        loaded.leases.size();
+  }
+  stats.fingerprint = loads.front().fingerprint;
+
+  // One slot per record, sorted stably into output order: cells by
+  // index, then stop records by stratum, then lease events in input
+  // order (an event history, never coalesced). Slots for one index
+  // stay in input order, so the first record seen is the one kept.
+  struct Slot {
+    int rank;             // 0 cell, 1 stop record, 2 lease event
+    std::uint64_t index;  // sort key within the rank
+    const JournalRecord* record;
+    std::size_t input;  // for conflict messages
+  };
+  std::vector<Slot> slots;
+  slots.reserve(stats.records_in);
+  for (std::size_t input = 0; input < loads.size(); ++input) {
+    for (const JournalRecord& record : loads[input].records) {
+      slots.push_back({0, record.index, &record, input});
+    }
+    for (const JournalRecord& record : loads[input].stops) {
+      slots.push_back({1, record.index, &record, input});
+    }
+    for (const JournalRecord& record : loads[input].leases) {
+      slots.push_back({2, 0, &record, input});
+    }
+  }
+  std::stable_sort(slots.begin(), slots.end(),
+                   [](const Slot& a, const Slot& b) {
+                     return a.rank != b.rank ? a.rank < b.rank
+                                             : a.index < b.index;
+                   });
+
+  // Coalesce duplicates before the output is touched: a conflict
+  // leaves `out_path` as it was.
+  std::size_t kept = 0;
+  for (const Slot& slot : slots) {
+    const Slot* last = kept > 0 ? &slots[kept - 1] : nullptr;
+    if (slot.rank != 2 && last != nullptr && last->rank == slot.rank &&
+        last->index == slot.index) {
+      const JournalRecord& record = *slot.record;
+      if (*last->record == record) {
         ++stats.duplicates;  // overlapping shard ranges — benign
         continue;
       }
+      const std::string sources =
+          inputs[last->input] + "' and '" + inputs[slot.input];
+      if (record.stop) {
+        throw std::runtime_error(
+            "journal merge: stratum " + std::to_string(record.index) +
+            " has conflicting stop records in '" + sources +
+            "' (same fingerprint, different stopping point); the shards "
+            "disagree — refusing to merge");
+      }
       throw std::runtime_error(
           "journal merge: cell " + std::to_string(record.index) +
-          " has conflicting records in '" + *sources[record.index] +
-          "' and '" + in +
+          " has conflicting records in '" + sources +
           "' (same fingerprint, different payload); the shards disagree "
           "about a result — refusing to merge");
     }
-    for (const JournalRecord& record : loaded.stops) {
-      ++stats.records_in;
-      const auto [it, inserted] = stops.try_emplace(record.index, record);
-      if (inserted) {
-        stop_sources.emplace(record.index, &in);
-        continue;
-      }
-      if (it->second == record) {
-        ++stats.duplicates;
-        continue;
-      }
-      throw std::runtime_error(
-          "journal merge: stratum " + std::to_string(record.index) +
-          " has conflicting stop records in '" +
-          *stop_sources[record.index] + "' and '" + in +
-          "' (same fingerprint, different stopping point); the shards "
-          "disagree — refusing to merge");
-    }
-    for (const JournalRecord& record : loaded.leases) {
-      ++stats.records_in;
-      leases.push_back(record);
-    }
+    slots[kept++] = slot;
   }
+  slots.resize(kept);
+
   std::remove(out_path.c_str());
   Journal out(out_path, stats.fingerprint);
-  for (const auto& [index, record] : cells) {
-    out.append(record);
-    ++stats.records_out;
+  // One write(2) per kMaxBlock records; the bytes are those of
+  // appending the records one at a time.
+  std::vector<JournalRecord> block;
+  block.reserve(Journal::kMaxBlock);
+  for (const Slot& slot : slots) {
+    block.push_back(*slot.record);
+    if (block.size() == Journal::kMaxBlock) {
+      out.append(block);
+      block.clear();
+    }
   }
-  for (const auto& [index, record] : stops) {
-    out.append(record);
-    ++stats.records_out;
-  }
-  for (const JournalRecord& record : leases) {
-    out.append(record);
-    ++stats.records_out;
-  }
+  if (!block.empty()) out.append(block);
+  stats.records_out = stats.records_in - stats.duplicates;
   return stats;
 }
 

@@ -208,7 +208,9 @@ struct JournalMergeStats {
 /// about a result and is a hard error, as is `out_path` naming one of
 /// the inputs. Lease events (an assignment log among the inputs) are
 /// copied through in input order — they are an event history, so
-/// duplicates are meaningful and never coalesced. Throws
+/// duplicates are meaningful and never coalesced. The output is
+/// written `Journal::kMaxBlock` records per write(2); its bytes are
+/// those of appending the records one at a time. Throws
 /// std::runtime_error on all of the above; corrupt records in the
 /// inputs are skipped and counted, same as resume.
 JournalMergeStats merge_journals(const std::vector<std::string>& inputs,

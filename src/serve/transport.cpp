@@ -96,21 +96,53 @@ int accept_or_drain(int listen_fd) {
 }
 
 int listen_unix(const std::string& path) {
-  const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd < 0) return -1;
   struct sockaddr_un addr = {};
   addr.sun_family = AF_UNIX;
   if (path.size() >= sizeof(addr.sun_path)) {
-    ::close(listen_fd);
     errno = ENAMETOOLONG;
     return -1;
   }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  // The socket is bound and listening under a sibling name of the same
+  // length, then renamed onto `path`: whoever sees `path` exist can
+  // connect to it. Only the basename changes, so the name fits
+  // wherever `path` does.
+  const std::size_t base = path.rfind('/') + 1;  // npos + 1 == 0
+  if (base == path.size()) {
+    errno = EINVAL;  // no basename to vary
+    return -1;
+  }
+  const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (listen_fd < 0) return -1;
   ::unlink(path.c_str());  // replace a stale socket from a prior run
-  if (::bind(listen_fd, reinterpret_cast<struct sockaddr*>(&addr),
-             sizeof(addr)) < 0 ||
-      ::listen(listen_fd, 64) < 0) {
-    const int error = errno;
+  std::string temp = path;
+  std::uint64_t salt =
+      static_cast<std::uint64_t>(::getpid()) * 0x9e3779b97f4a7c15ull ^
+      static_cast<std::uint64_t>(
+          std::chrono::steady_clock::now().time_since_epoch().count());
+  // Up to six base-36 characters at the end of the basename vary.
+  const std::size_t from =
+      path.size() - std::min<std::size_t>(6, path.size() - base);
+  int error = EADDRINUSE;  // a taken name: try another
+  for (int attempt = 0; attempt < 64 && error == EADDRINUSE; ++attempt) {
+    salt = salt * 6364136223846793005ull + 1442695040888963407ull;
+    std::uint64_t digits = salt >> 16;
+    for (std::size_t i = from; i < path.size(); ++i) {
+      temp[i] = "0123456789abcdefghijklmnopqrstuvwxyz"[digits % 36];
+      digits /= 36;
+    }
+    if (temp == path) continue;
+    std::memcpy(addr.sun_path, temp.c_str(), temp.size() + 1);
+    error = ::bind(listen_fd, reinterpret_cast<struct sockaddr*>(&addr),
+                   sizeof(addr)) < 0
+                ? errno
+                : 0;
+  }
+  if (error == 0 && (::listen(listen_fd, 64) < 0 ||
+                     ::rename(temp.c_str(), path.c_str()) < 0)) {
+    error = errno;
+    ::unlink(temp.c_str());
+  }
+  if (error != 0) {
     ::close(listen_fd);
     errno = error;
     return -1;
@@ -176,6 +208,7 @@ LineReader::Status LineReader::next(std::string& line) {
 LineReader::Status LineReader::poll_next(std::string& line, int timeout_ms) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+  bool polled = false;
   for (;;) {
     const std::size_t newline = buffer_.find('\n');
     if (newline != std::string::npos) {
@@ -203,10 +236,11 @@ LineReader::Status LineReader::poll_next(std::string& line, int timeout_ms) {
     const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
                           deadline - std::chrono::steady_clock::now())
                           .count();
-    if (left <= 0) return Status::kTimeout;
+    if (left <= 0 && polled) return Status::kTimeout;
+    polled = true;
     struct pollfd pfd = {fd_, POLLIN, 0};
-    const int ready =
-        ::poll(&pfd, 1, static_cast<int>(std::min<long long>(left, kPollMs)));
+    const int ready = ::poll(
+        &pfd, 1, static_cast<int>(std::clamp<long long>(left, 0, kPollMs)));
     if (runtime::drain_requested()) return Status::kDrain;
     if (ready < 0) {
       if (errno == EINTR) continue;

@@ -70,9 +70,11 @@ class LineReader {
   [[nodiscard]] Status next(std::string& line);
 
   /// `next` with a deadline: returns kTimeout if no complete line
-  /// arrived within `timeout_ms`. The partial line stays buffered and
-  /// a later call picks it up — the fabric coordinator interleaves
-  /// reads with lease-expiry sweeps this way.
+  /// arrived within `timeout_ms`. The descriptor is polled at least
+  /// once, so a zero timeout reads what is already there (a line, a
+  /// hang-up) without blocking — the fabric coordinator checks an
+  /// idle worker's connection this way. A partial line stays buffered
+  /// and a later call picks it up.
   [[nodiscard]] Status poll_next(std::string& line, int timeout_ms);
 
  private:
@@ -98,9 +100,12 @@ int serve_unix(Server& server, const std::string& path);
 int serve_tcp(Server& server, std::uint16_t port);
 
 // Listener plumbing shared with the fabric coordinator. Each returns
-// a bound, listening fd, or -1 with errno set (the Unix variant
-// replaces a stale socket file first).
+// a bound, listening fd, or -1 with errno set.
 
+/// Replaces a stale socket file at `path`, then binds a sibling name
+/// of the same length, listens, and renames it onto `path`: the path
+/// exists only once it accepts connections, so a client that polls for
+/// it never connects too early. On failure nothing is left behind.
 [[nodiscard]] int listen_unix(const std::string& path);
 [[nodiscard]] int listen_tcp(std::uint16_t port);
 

@@ -150,6 +150,26 @@ TEST_F(LeaseTableTest, BackoffIsCappedExponential) {
   EXPECT_EQ(grant->attempt, 5u);
 }
 
+TEST_F(LeaseTableTest, NextOpenAtIsTheEarliestBackoffEnd) {
+  LeaseTable table(options(60, 30));
+  // Fresh open leases are grantable from the start.
+  ASSERT_TRUE(table.next_open_at());
+  EXPECT_LE(*table.next_open_at(), t0_);
+  const auto a = table.next_grant(t0_);
+  const auto b = table.next_grant(t0_);
+  ASSERT_TRUE(a && b);
+  EXPECT_FALSE(table.next_open_at());  // nothing open
+  table.release(1, t0_ + milliseconds(50));  // backs off 100 ms
+  table.release(0, t0_ + milliseconds(20));
+  ASSERT_TRUE(table.next_open_at());
+  EXPECT_EQ(*table.next_open_at(), t0_ + milliseconds(120));
+  ASSERT_TRUE(table.next_grant(t0_ + milliseconds(120)));
+  EXPECT_EQ(*table.next_open_at(), t0_ + milliseconds(150));
+  EXPECT_EQ(table.commit(1, 1, 0x1, 30),
+            LeaseTable::CommitOutcome::kCommitted);
+  EXPECT_FALSE(table.next_open_at());
+}
+
 TEST_F(LeaseTableTest, LateCommitAfterExpiryStillCommits) {
   // The acceptance rule: lease expiry racing completion resolves in
   // favor of the work — the late result is bit-exact by determinism.

@@ -570,8 +570,55 @@ TEST_F(JournalMergeTest, ConflictingDuplicatesRefuse) {
   } catch (const std::runtime_error& error) {
     const std::string what = error.what();
     EXPECT_NE(what.find("refusing to merge"), std::string::npos) << what;
-    EXPECT_NE(what.find(shard(1)), std::string::npos) << what;
+    EXPECT_NE(what.find("'" + shard(0) + "' and '" + shard(1) + "'"),
+              std::string::npos)
+        << what;
   }
+  EXPECT_FALSE(std::filesystem::exists(out()));  // refused before writing
+}
+
+TEST_F(JournalMergeTest, MergedBytesEqualOneRecordAtATimeAppends) {
+  // Three overlapping shards, each written in descending block order
+  // as a campaign's pool finishes them, with duplicates across shards,
+  // a stop record in two of them and a lease event. The block-written
+  // merge must produce exactly the bytes of appending the index-sorted
+  // unique records one at a time.
+  JournalRecord lease;
+  lease.lease = true;
+  lease.lease_event = LeaseEvent::kCompleted;
+  lease.index = 2;
+  lease.lease_attempt = 1;
+  lease.lease_lo = 100;
+  lease.lease_hi = 150;
+  lease.lease_digest = 0x0123456789abcdefull;
+  lease.lease_cells = 50;
+  {
+    const std::uint64_t ranges[3][2] = {{0, 90}, {60, 160}, {150, 200}};
+    for (int n = 0; n < 3; ++n) {
+      Journal journal(shard(n), 28);
+      for (std::uint64_t hi = ranges[n][1]; hi > ranges[n][0]; hi -= 10) {
+        std::vector<JournalRecord> block;
+        for (std::uint64_t i = hi - 10; i < hi; ++i) {
+          block.push_back(sample_record(i));
+        }
+        journal.append(block);
+      }
+      if (n != 2) journal.append(stop_record(5, 40, 0.03));
+      if (n == 1) journal.append(lease);
+    }
+  }
+  const JournalMergeStats stats =
+      merge_journals({shard(0), shard(1), shard(2)}, out());
+  EXPECT_EQ(stats.records_in, 90u + 100 + 50 + 2 + 1);
+  EXPECT_EQ(stats.duplicates, 30u + 10 + 1);
+  EXPECT_EQ(stats.records_out, 200u + 1 + 1);
+  {
+    Journal reference(shard(3), 28);
+    for (std::uint64_t i = 0; i < 200; ++i) reference.append(sample_record(i));
+    reference.append(stop_record(5, 40, 0.03));
+    reference.append(lease);
+  }
+  EXPECT_EQ(read_bytes(out()), read_bytes(shard(3)));
 }
 
 TEST_F(JournalMergeTest, StopRecordsSurviveMergeAndCoalesce) {
@@ -610,6 +657,9 @@ TEST_F(JournalMergeTest, ConflictingStopRecordsRefuse) {
     const std::string what = error.what();
     EXPECT_NE(what.find("stratum 3"), std::string::npos) << what;
     EXPECT_NE(what.find("conflicting stop records"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("'" + shard(0) + "' and '" + shard(1) + "'"),
+              std::string::npos)
         << what;
   }
 }
